@@ -26,6 +26,7 @@
 #include "cluster/container.h"
 #include "cluster/node.h"
 #include "core/container_index.h"
+#include "core/messages.h"
 #include "memcg/mem_cgroup.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -58,24 +59,12 @@ class Agent {
     kRejected,  // agent crashed or container unmanaged: no response at all
     kFenced,    // update from a fenced (deposed) controller epoch: discarded
   };
-  // Sequenced applies: `seq` must exceed the newest applied sequence for the
+  // Sequenced apply: `seq` must exceed the newest applied sequence for the
   // (container, resource) pair or the update is discarded as stale. seq 0
-  // bypasses the check (unsequenced local/test path).
-  Apply apply_cpu_limit(cluster::ContainerId id, double cores,
-                        std::uint64_t seq);
-  Apply apply_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                        std::uint64_t seq);
-  // Writes a bandwidth rate limit into the node's shaper (the tc/HTB
-  // analogue of a cgroup write). Rejected when no shaper is wired.
-  Apply apply_bw_limit(cluster::ContainerId id, double rate_bps,
-                       std::uint64_t seq);
-  // Unsequenced compatibility overloads; false if not managed here.
-  bool apply_cpu_limit(cluster::ContainerId id, double cores) {
-    return apply_cpu_limit(id, cores, 0) == Apply::kApplied;
-  }
-  bool apply_mem_limit(cluster::ContainerId id, memcg::Bytes limit) {
-    return apply_mem_limit(id, limit, 0) == Apply::kApplied;
-  }
+  // bypasses the check (unsequenced local/test path). The write lands in the
+  // cgroup (CPU), the memcg (memory) or the node's shaper (bandwidth, the
+  // tc/HTB analogue of a cgroup write — rejected when no shaper is wired).
+  Apply apply_limit(cluster::ContainerId id, Limit limit, std::uint64_t seq);
 
   // --- memory reclamation (Section IV-C) ---
   struct Resize {
@@ -163,17 +152,21 @@ class Agent {
                   std::uint64_t seq);
   void record_fenced(cluster::ContainerId id, double before, double offered,
                      std::uint64_t seq);
+  // The value a limit write for `resource` would replace (0 for a container
+  // the shaper has not attached).
+  double applied_value(std::uint32_t slot, cluster::ContainerId id,
+                       Resource resource) const;
+  void write_limit(std::uint32_t slot, cluster::ContainerId id, Limit limit);
 
   cluster::Node& node_;
   // Managed containers interned to dense slots; the hot per-container state
   // (container pointer + newest applied sequence per resource) lives in
   // slot-indexed struct-of-arrays so the per-RPC apply path is a direct
-  // load, and the reclaim sweep walks containers densely.
+  // load, and the reclaim sweep walks containers densely. `seq_` is indexed
+  // slot * 3 + resource.
   ContainerIndex index_;
   std::vector<cluster::Container*> containers_;
-  std::vector<std::uint64_t> cpu_seq_;
-  std::vector<std::uint64_t> mem_seq_;
-  std::vector<std::uint64_t> bw_seq_;
+  std::vector<std::uint64_t> seq_;
   obs::Observer* obs_ = nullptr;
   bw::ClusterShaper* bw_shaper_ = nullptr;
 

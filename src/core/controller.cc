@@ -532,7 +532,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
     // Recovery: the shaper keeps the node's fail-static truth; the
     // correction travels as a normal sequenced update.
     LoopCtx ctx;
-    push_bw_limit(id, committed, ctx);
+    push_limit(id, {Resource::kBw, committed}, ctx);
   }
 }
 
@@ -625,7 +625,7 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
     ctx.cause = obs_->record(ev);
   }
   if (std::abs(target - before) > kBwRateEpsilon) {
-    push_bw_limit(sample.container, target, ctx);
+    push_limit(sample.container, {Resource::kBw, target}, ctx);
   }
 }
 
@@ -678,7 +678,7 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
     ev.cause = cause;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(stats.cgroup, *decision, ctx);
+  push_limit(stats.cgroup, {Resource::kCpu, *decision}, ctx);
 }
 
 void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
@@ -701,18 +701,18 @@ void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
     ev.after = cores;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(id, cores, ctx);
+  push_limit(id, {Resource::kCpu, cores}, ctx);
 }
 
-void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
-                                LoopCtx ctx) {
+void Controller::push_limit(cluster::ContainerId id, Limit limit,
+                            LoopCtx ctx) {
   if (crashed_) return;
   const std::uint32_t slot = index_.find(id);
   if (slot == ContainerIndex::kInvalid) return;
   Entry& entry = registry_[slot];
   ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kCpu);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3;
+  const std::size_t idx = static_cast<std::size_t>(slot) * 3 +
+                          static_cast<std::size_t>(limit.resource);
   Pending& p = pending_[idx];
   if (pending_open_[idx] == 0) {
     p = Pending{};  // closed row may hold a prior tenant's stale fields
@@ -722,8 +722,7 @@ void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
     sim_.cancel(p.timer);  // superseded: newest wins
   }
   p.seq = next_seq();
-  p.resource = Resource::kCpu;
-  p.cores = cores;
+  p.limit = limit;
   p.attempts = 0;
   p.backoff = config_.rpc_retry_timeout;
   p.ctx = ctx;
@@ -735,131 +734,28 @@ void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
     ev.kind = obs::EventKind::kRpcIssued;
     ev.container = id;
     ev.node = node_tag(entry);
-    ev.before = 0.0;  // resource flag: 0 = CPU
-    ev.after = cores;
+    // Resource flag: 0 = CPU, 1 = memory, 2 = bandwidth.
+    ev.before = static_cast<double>(limit.resource);
+    ev.after = limit.value;
     ev.cause = ctx.cause;
-    // Logical (unbatched-equivalent) RPC size; the batched path's actual
-    // wire accounting lands in the net.* counters and controller.batched_*.
+    // Logical (unbatched-equivalent) RPC size; the batched wire accounting
+    // lands in the net.* counters and controller.batched_*.
     ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
     p.rpc_event = obs_->record(ev);
   }
   {
     ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kCpuSlot;
+    rev.kind = ReplicationEvent::Kind::kSlot;
     rev.container = id;
     rev.node = entry.agent->node().id();
     rev.seq = p.seq;
-    rev.cores = cores;
+    rev.limit = limit;
     emit_repl(rev);
   }
-  dispatch_update(key, entry.agent->node().id());
-}
-
-void Controller::push_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                                LoopCtx ctx) {
-  if (crashed_) return;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return;
-  Entry& entry = registry_[slot];
-  ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kMem);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3 + 1;
-  Pending& p = pending_[idx];
-  if (pending_open_[idx] == 0) {
-    p = Pending{};
-    pending_open_[idx] = 1;
-    ++open_pending_;
-  } else if (p.timer.valid()) {
-    sim_.cancel(p.timer);
-  }
-  p.seq = next_seq();
-  p.resource = Resource::kMem;
-  p.mem = limit;
-  p.attempts = 0;
-  p.backoff = config_.rpc_retry_timeout;
-  p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    ev.before = 1.0;  // resource flag: 1 = memory
-    ev.after = static_cast<double>(limit);
-    ev.cause = ctx.cause;
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kMemSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.is_mem = true;
-    rev.mem = limit;
-    emit_repl(rev);
-  }
-  dispatch_update(key, entry.agent->node().id());
-}
-
-void Controller::push_bw_limit(cluster::ContainerId id, double rate_bps,
-                               LoopCtx ctx) {
-  if (crashed_) return;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return;
-  Entry& entry = registry_[slot];
-  ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kBw);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3 + 2;
-  Pending& p = pending_[idx];
-  if (pending_open_[idx] == 0) {
-    p = Pending{};
-    pending_open_[idx] = 1;
-    ++open_pending_;
-  } else if (p.timer.valid()) {
-    sim_.cancel(p.timer);
-  }
-  p.seq = next_seq();
-  p.resource = Resource::kBw;
-  p.bw_bps = rate_bps;
-  p.attempts = 0;
-  p.backoff = config_.rpc_retry_timeout;
-  p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    ev.before = 2.0;  // resource flag: 2 = bandwidth
-    ev.after = rate_bps;
-    ev.cause = ctx.cause;
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kBwSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.resource = Resource::kBw;
-    rev.bw_bps = rate_bps;
-    emit_repl(rev);
-  }
-  dispatch_update(key, entry.agent->node().id());
+  dispatch_update(update_key(id, limit.resource), entry.agent->node().id());
 }
 
 void Controller::dispatch_update(std::uint64_t key, cluster::NodeId node) {
-  if (!config_.batch_limit_updates) {
-    send_pending(key);
-    return;
-  }
   Pending* p = find_pending(key);
   if (p == nullptr) return;
   NodeBatch& batch = batches_[node];
@@ -886,17 +782,14 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   batch.keys.clear();
   if (crashed_ || keys.empty()) return;
 
-  // Snapshot of one batch entry, fixed at flush time (exactly what legacy
-  // send_pending captures per RPC). A slot superseded after the flush keeps
-  // its own newer state; the in-flight entry acks or times out on this seq.
+  // Snapshot of one batch entry, fixed at flush time. A slot superseded
+  // after the flush keeps its own newer state; the in-flight entry acks or
+  // times out on this seq.
   struct WireEntry {
     std::uint64_t key = 0;
     cluster::ContainerId id = 0;
     std::uint64_t seq = 0;
-    Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    Limit limit;
     obs::EventId rpc_event = 0;
     LoopCtx ctx;
     std::uint32_t node_tag = 0;
@@ -925,10 +818,7 @@ void Controller::flush_node_batch(cluster::NodeId node) {
     w.key = key;
     w.id = static_cast<cluster::ContainerId>(key >> 2);
     w.seq = p->seq;
-    w.resource = p->resource;
-    w.cores = p->cores;
-    w.mem = p->mem;
-    w.bw_bps = p->bw_bps;
+    w.limit = p->limit;
     w.rpc_event = p->rpc_event;
     w.ctx = p->ctx;
     w.node_tag = node_tag(*entry);
@@ -952,30 +842,17 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   const cluster::NodeId node_id = node;
   net_.rpc_to(
       net::kControllerEndpoint, ep(node_id), req_bytes, resp_bytes,
-      // Request delivered at the Agent: apply every entry with exactly the
-      // legacy per-entry semantics. Entries rejected (crashed/unmanaged) or
-      // fenced get no ack — their retransmit timers carry them; if *no*
-      // entry landed there is no response at all.
+      // Request delivered at the Agent: apply every entry. Entries rejected
+      // (crashed/unmanaged) get no ack — their retransmit timers carry them;
+      // if *no* entry landed there is no response at all. A fenced entry
+      // means this epoch has been deposed: the Agent will not act on it and
+      // must not treat it as live-controller contact — no ack, the slot
+      // dies with the old epoch. Duplicate deliveries ack (idempotent).
       [this, agent, entries, acks]() -> bool {
         acks->clear();
         bool any = false;
         for (const WireEntry& w : entries) {
-          Agent::Apply result = Agent::Apply::kRejected;
-          double applied_value = 0.0;
-          switch (w.resource) {
-            case Resource::kCpu:
-              result = agent->apply_cpu_limit(w.id, w.cores, w.seq);
-              applied_value = w.cores;
-              break;
-            case Resource::kMem:
-              result = agent->apply_mem_limit(w.id, w.mem, w.seq);
-              applied_value = static_cast<double>(w.mem);
-              break;
-            case Resource::kBw:
-              result = agent->apply_bw_limit(w.id, w.bw_bps, w.seq);
-              applied_value = w.bw_bps;
-              break;
-          }
+          const Agent::Apply result = agent->apply_limit(w.id, w.limit, w.seq);
           if (result == Agent::Apply::kRejected) continue;
           if (result == Agent::Apply::kFenced) continue;
           if (!any) {
@@ -991,9 +868,13 @@ void Controller::flush_node_batch(cluster::NodeId node) {
             ev.kind = obs::EventKind::kRpcApplied;
             ev.container = w.id;
             ev.node = w.node_tag;
-            ev.before = static_cast<double>(w.resource);
-            ev.after = applied_value;
-            ev.cause = w.rpc_event;
+            ev.before = static_cast<double>(w.limit.resource);
+            ev.after = w.limit.value;
+            ev.cause = w.rpc_event;  // the original issue, across retransmits
+            // The applied sequence (epoch in the high 16 bits): the
+            // invariant checker derives the no-split-brain rule — per-
+            // (container, resource) applied sequences strictly increase —
+            // from this.
             ev.detail = static_cast<std::int64_t>(w.seq);
             obs_->record(ev);
             if (w.ctx.profile) {
@@ -1021,83 +902,6 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   }
 }
 
-void Controller::send_pending(std::uint64_t key) {
-  Pending* pp = find_pending(key);
-  if (pp == nullptr) return;
-  Pending& p = *pp;
-  const auto id = static_cast<cluster::ContainerId>(key >> 2);
-  Entry* entry = find_entry(id);
-  Agent* agent = entry->agent;
-  const cluster::NodeId node_id = agent->node().id();
-  const std::uint32_t node = node_tag(*entry);
-  const std::uint64_t seq = p.seq;
-  const Resource resource = p.resource;
-  const double cores = p.cores;
-  const memcg::Bytes mem = p.mem;
-  const double bw_bps = p.bw_bps;
-  const obs::EventId rpc_event = p.rpc_event;
-  const LoopCtx ctx = p.ctx;
-
-  net_.rpc_to(
-      net::kControllerEndpoint, ep(node_id), kLimitUpdateRpcBytes,
-      kLimitUpdateRespBytes,
-      // Request delivered at the Agent. Returning false (crashed agent)
-      // kills the response leg: the Controller's timeout takes it from
-      // there.
-      [this, agent, id, seq, resource, cores, mem, bw_bps, rpc_event, ctx,
-       node]() -> bool {
-        Agent::Apply result = Agent::Apply::kRejected;
-        double applied_value = 0.0;
-        switch (resource) {
-          case Resource::kCpu:
-            result = agent->apply_cpu_limit(id, cores, seq);
-            applied_value = cores;
-            break;
-          case Resource::kMem:
-            result = agent->apply_mem_limit(id, mem, seq);
-            applied_value = static_cast<double>(mem);
-            break;
-          case Resource::kBw:
-            result = agent->apply_bw_limit(id, bw_bps, seq);
-            applied_value = bw_bps;
-            break;
-        }
-        if (result == Agent::Apply::kRejected) return false;
-        // A fenced update means this epoch has been deposed: the Agent will
-        // not act on it and must not treat it as live-controller contact —
-        // no ack, the slot dies with the old epoch.
-        if (result == Agent::Apply::kFenced) return false;
-        agent->note_controller_contact();  // a delivered RPC renews the lease
-        if (result == Agent::Apply::kApplied && obs_ != nullptr) {
-          const sim::TimePoint apply = sim_.now();
-          obs_->h.rpcs_applied->inc();
-          obs::TraceEvent ev;
-          ev.time = apply;
-          ev.kind = obs::EventKind::kRpcApplied;
-          ev.container = id;
-          ev.node = node;
-          ev.before = static_cast<double>(resource);
-          ev.after = applied_value;
-          ev.cause = rpc_event;  // the original issue, across retransmits
-          // The applied sequence (epoch in the high 16 bits): the invariant
-          // checker derives the no-split-brain rule — per-(container,
-          // resource) applied sequences strictly increase — from this.
-          ev.detail = static_cast<std::int64_t>(seq);
-          obs_->record(ev);
-          if (ctx.profile) {
-            obs_->profiler().record_loop(ctx.fire, ctx.ingest, ctx.decide,
-                                         apply);
-          }
-        }
-        return true;  // ack (duplicate deliveries ack too: idempotent)
-      },
-      // Response (ack) back at the Controller.
-      [this, key, seq, node_id] { on_update_ack(key, seq, node_id); });
-
-  p.timer = sim_.schedule_after(
-      p.backoff, [this, key, seq] { on_update_timeout(key, seq); });
-}
-
 void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
                                cluster::NodeId node) {
   if (crashed_) return;
@@ -1112,8 +916,7 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
     rev.container = static_cast<cluster::ContainerId>(key >> 2);
     rev.node = node;
     rev.seq = seq;
-    rev.resource = p->resource;
-    rev.is_mem = p->resource == Resource::kMem;
+    rev.limit.resource = p->limit.resource;
     emit_repl(rev);
   }
   const std::uint32_t slot =
@@ -1138,27 +941,17 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
     ev.container = id;
     const Entry* rit = find_entry(id);
     ev.node = rit != nullptr ? node_tag(*rit) : 0;
-    ev.before = static_cast<double>(p.resource);
-    switch (p.resource) {
-      case Resource::kCpu:
-        ev.after = p.cores;
-        break;
-      case Resource::kMem:
-        ev.after = static_cast<double>(p.mem);
-        break;
-      case Resource::kBw:
-        ev.after = p.bw_bps;
-        break;
-    }
+    ev.before = static_cast<double>(p.limit.resource);
+    ev.after = p.limit.value;
     ev.cause = p.rpc_event;
     ev.detail = p.attempts;
     obs_->record(ev);
   }
   p.backoff = std::min<sim::Duration>(p.backoff * 2, config_.rpc_backoff_max);
-  // Re-send the *newest* desired value and re-arm the timer. The batched
-  // path re-enqueues: several entries timing out at the same instant for
-  // one node coalesce back into a single retransmit RPC, and only unacked
-  // entries ride it.
+  // Re-send the *newest* desired value: re-enqueue it, so several entries
+  // timing out at the same instant for one node coalesce back into a single
+  // retransmit RPC, and only unacked entries ride it. The flush re-arms the
+  // timer.
   const Entry* entry = find_entry(id);
   dispatch_update(key, entry->agent->node().id());
 }
@@ -1340,12 +1133,12 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     if (std::abs(want_cores - s.cpu_cores) > eps) {
       LoopCtx ctx;
       ctx.cause = resync_ev;
-      push_cpu_limit(s.id, want_cores, ctx);
+      push_limit(s.id, {Resource::kCpu, want_cores}, ctx);
     }
     if (push_bw) {
       LoopCtx ctx;
       ctx.cause = resync_ev;
-      push_bw_limit(s.id, want_bw, ctx);
+      push_limit(s.id, {Resource::kBw, want_bw}, ctx);
     }
   }
 }
@@ -1451,7 +1244,8 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   // once, never doubled by the replay.
   LoopCtx ctx;
   ctx.cause = grant_ev;
-  push_mem_limit(container.id(), decision.new_limit, ctx);
+  push_limit(container.id(),
+             {Resource::kMem, static_cast<double>(decision.new_limit)}, ctx);
 
   // Karma coupling for memory: an OOM grant that lifts the member above its
   // fair share of the global memory limit spends the same credit currency
@@ -1530,18 +1324,15 @@ std::vector<Controller::TakeoverSlot> Controller::pending_slots() const {
       const Pending& p = pending_[idx];
       TakeoverSlot s;
       s.id = id;
-      s.resource = p.resource;
-      s.is_mem = p.resource == Resource::kMem;
-      s.cores = p.cores;
-      s.mem = p.mem;
-      s.bw_bps = p.bw_bps;
+      s.limit = p.limit;
       s.seq = p.seq;
       out.push_back(s);
     }
   });
   std::sort(out.begin(), out.end(),
             [](const TakeoverSlot& a, const TakeoverSlot& b) {
-              return a.id != b.id ? a.id < b.id : a.resource < b.resource;
+              return a.id != b.id ? a.id < b.id
+                                  : a.limit.resource < b.limit.resource;
             });
   return out;
 }
@@ -1626,21 +1417,11 @@ void Controller::takeover(std::uint64_t epoch,
   std::vector<cluster::ContainerId> bw_slotted;
   for (const TakeoverSlot& s : slots) {
     if (!index_.contains(s.id)) continue;
+    if (s.limit.resource == Resource::kCpu) cpu_slotted.push_back(s.id);
+    if (s.limit.resource == Resource::kBw) bw_slotted.push_back(s.id);
     LoopCtx ctx;
     ctx.cause = cause;
-    switch (s.resource) {
-      case Resource::kCpu:
-        cpu_slotted.push_back(s.id);
-        push_cpu_limit(s.id, s.cores, ctx);
-        break;
-      case Resource::kMem:
-        push_mem_limit(s.id, s.mem, ctx);
-        break;
-      case Resource::kBw:
-        bw_slotted.push_back(s.id);
-        push_bw_limit(s.id, s.bw_bps, ctx);
-        break;
-    }
+    push_limit(s.id, s.limit, ctx);
   }
 
   // A node's applied limit may sit above the book this seat just rebuilt:
@@ -1661,7 +1442,7 @@ void Controller::takeover(std::uint64_t epoch,
     if (!std::binary_search(cpu_slotted.begin(), cpu_slotted.end(), id)) {
       LoopCtx ctx;
       ctx.cause = cause;
-      push_cpu_limit(id, allocator_.app().member_cores(id), ctx);
+      push_limit(id, {Resource::kCpu, allocator_.app().member_cores(id)}, ctx);
     }
     // Same convergence sweep for bandwidth: a bandwidth slot lost in the
     // WAL tail would otherwise leave the node's applied rate divergent
@@ -1676,7 +1457,7 @@ void Controller::takeover(std::uint64_t epoch,
       if (book > 0.0 || applied > 0.0) {
         LoopCtx ctx;
         ctx.cause = cause;
-        push_bw_limit(id, book, ctx);
+        push_limit(id, {Resource::kBw, book}, ctx);
       }
     }
   }
@@ -2100,7 +1881,7 @@ void Controller::raise_to_rt_floor(cluster::ContainerId id, double floor) {
     ev.after = applied;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(id, applied, ctx);
+  push_limit(id, {Resource::kCpu, applied}, ctx);
 }
 
 void Controller::shed_best_effort(double need) {
@@ -2147,7 +1928,7 @@ void Controller::shed_best_effort(double need) {
         ev.after = applied;
         ctx.cause = obs_->record(ev);
       }
-      push_cpu_limit(id, applied, ctx);
+      push_limit(id, {Resource::kCpu, applied}, ctx);
     }
   }
 }
@@ -2270,7 +2051,7 @@ void Controller::settle_credits() {
             ev.detail = streak;
             ctx.cause = obs_->record(ev);
           }
-          push_cpu_limit(id, applied, ctx);
+          push_limit(id, {Resource::kCpu, applied}, ctx);
         }
       }
     } else {

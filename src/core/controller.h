@@ -89,27 +89,22 @@ class Controller {
     enum class Kind {
       kRegister,    // container joined: committed cores/mem/bw
       kDeregister,  // container left (deregistered or quarantine-reclaimed)
-      kCpuSlot,     // desired-state CPU slot opened/superseded (seq, cores)
-      kMemSlot,     // desired-state memory slot opened/superseded (seq, mem)
+      kSlot,        // desired-state slot opened/superseded (seq, limit)
       kAckSlot,     // slot acked by the Agent (seq closed it)
       kMemShadow,   // shadow memory limit moved without a slot (reclaim)
       kNodeHealth,  // node liveness / agent-incarnation transition
-      kBwSlot,      // desired-state bandwidth slot opened/superseded (seq, bw)
       kCredit,      // credit-ledger account moved (balance + totals image)
       kRt,          // RT reservation admitted (absolute image) or revoked
     };
     Kind kind = Kind::kRegister;
     cluster::ContainerId container = 0;
     cluster::NodeId node = 0;
-    std::uint64_t seq = 0;  // slot sequence number (k*Slot/kAckSlot)
-    // Resource of the slot being acked (kAckSlot). `is_mem` predates the
-    // three-resource slot space and stays in sync with `resource` for
-    // CPU/memory consumers.
-    bool is_mem = false;
-    Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;                  // kRegister / kBwSlot
+    std::uint64_t seq = 0;  // slot sequence number (kSlot/kAckSlot)
+    // The slot's limit (kSlot); kAckSlot carries only its resource.
+    Limit limit;
+    double cores = 0.0;                   // kRegister / kRt
+    memcg::Bytes mem = 0;                 // kRegister / kMemShadow
+    double bw_bps = 0.0;                  // kRegister / kRt
     std::uint64_t agent_incarnation = 0;  // kNodeHealth
     bool node_dead = false;               // kNodeHealth
     // kCredit: the account's absolute balance plus the ledger's running
@@ -159,11 +154,7 @@ class Controller {
   };
   struct TakeoverSlot {
     cluster::ContainerId id = 0;
-    bool is_mem = false;  // kept in sync with `resource` for CPU/memory
-    Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    Limit limit;
     // The slot's current sequence number. Informational for takeover()
     // (replay always stamps fresh new-epoch sequences); used by src/ha to
     // seed its book and to model a deposed leader's in-flight retransmits.
@@ -363,10 +354,7 @@ class Controller {
   // sequence clears it.
   struct Pending {
     std::uint64_t seq = 0;
-    Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    Limit limit;
     int attempts = 0;
     sim::Duration backoff = 0;
     sim::EventHandle timer;
@@ -374,11 +362,11 @@ class Controller {
     LoopCtx ctx;
     bool queued = false;  // sitting in a NodeBatch awaiting flush
   };
-  // Per-node coalescing buffer (config_.batch_limit_updates): every limit
-  // push within one tick bound for the same node rides a single batched RPC
-  // with per-entry acks. The flush runs same-tick (schedule_after(0)) after
-  // all already-queued work, so a whole telemetry period's decisions for a
-  // node coalesce without adding latency.
+  // Per-node coalescing buffer: every limit push within one tick bound for
+  // the same node rides a single batched RPC with per-entry acks. The flush
+  // runs same-tick (schedule_after(0)) after all already-queued work, so a
+  // whole telemetry period's decisions for a node coalesce without adding
+  // latency.
   struct NodeBatch {
     std::vector<std::uint64_t> keys;  // external update keys, push order
     sim::EventHandle flush;
@@ -404,10 +392,10 @@ class Controller {
                      double rt_bw = 0.0);
   void ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                         sim::TimePoint fire_time);
-  void push_cpu_limit(cluster::ContainerId id, double cores, LoopCtx ctx);
-  void push_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                      LoopCtx ctx);
-  void push_bw_limit(cluster::ContainerId id, double rate_bps, LoopCtx ctx);
+  // Opens (or supersedes) the container's desired-state slot for
+  // `limit.resource`: stamps a fresh sequence, traces kRpcIssued, replicates
+  // the slot, and queues it on the node's batch.
+  void push_limit(cluster::ContainerId id, Limit limit, LoopCtx ctx);
   void ingest_bw_stats(const bw::BwSample& sample);
   // NIC headroom left on a node for one container's rate: nic_bps minus
   // every *other* attached container's rate, counting for each the larger
@@ -501,11 +489,9 @@ class Controller {
     const std::size_t idx = static_cast<std::size_t>(slot) * 3 + (key & 3);
     return pending_open_[idx] != 0 ? &pending_[idx] : nullptr;
   }
-  // Routes an opened slot to the wire: directly (legacy one-RPC-per-update)
-  // or via the node's coalescing batch.
+  // Queues an opened slot on the node's coalescing batch.
   void dispatch_update(std::uint64_t key, cluster::NodeId node);
   void flush_node_batch(cluster::NodeId node);
-  void send_pending(std::uint64_t key);
   void on_update_timeout(std::uint64_t key, std::uint64_t seq);
   void on_update_ack(std::uint64_t key, std::uint64_t seq,
                      cluster::NodeId node);

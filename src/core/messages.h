@@ -26,6 +26,15 @@ enum class Resource : std::uint8_t {
   kBw = 2,
 };
 
+// One limit update, from allocator decision to cgroup write: the resource it
+// targets and the new limit in that resource's unit (cores, bytes, bytes/s).
+// Memory limits ride the double exactly — every modelled limit is far below
+// 2^53 bytes — and turn back into memcg::Bytes only at the memcg write.
+struct Limit {
+  Resource resource = Resource::kCpu;
+  double value = 0.0;
+};
+
 // UDP telemetry datagram: 14B eth + 20B IP + 8B UDP + payload
 // (4B cgroup tag, 8B quota, 8B unused runtime, 1B flags, padding).
 inline constexpr std::size_t kCpuStatsWireBytes = 14 + 20 + 8 + 24;

@@ -119,14 +119,12 @@ class HaControlPlane {
   };
 
   // A deposed leader's dying gasps: the old-epoch in-flight slots it keeps
-  // retransmitting until it abdicates. Fenced at every live Agent.
+  // retransmitting until it abdicates — each as a single-update RPC with
+  // its original sequence. Fenced at every live Agent.
   struct GhostSlot {
     cluster::ContainerId id = 0;
     cluster::NodeId node = 0;
-    core::Resource resource = core::Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    core::Limit limit;
     std::uint64_t seq = 0;
   };
   struct Ghost {

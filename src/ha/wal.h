@@ -3,11 +3,12 @@
 // The active leader turns every durable state change the Controller makes —
 // container registration/deregistration (pool commitments), desired-state
 // slot opens and acks, shadow-limit moves, node-liveness transitions — into
-// a flat, sequence-numbered record. The log index is globally monotonic
-// across epochs; a kEpochStart record marks each leadership handoff and
-// resets the replica state it governs, so replay is a pure left fold:
-// applying records [0..n) in index order always produces the same replica,
-// regardless of which leader wrote which prefix (deterministic WAL replay).
+// a sequence-numbered record carrying the Controller's own ReplicationEvent.
+// The log index is globally monotonic across epochs; an epoch-start record
+// marks each leadership handoff and resets the replica state it governs, so
+// replay is a pure left fold: applying records [0..n) in index order always
+// produces the same replica, regardless of which leader wrote which prefix
+// (deterministic WAL replay).
 #pragma once
 
 #include <cstdint>
@@ -16,54 +17,21 @@
 
 #include "cluster/container.h"
 #include "cluster/node.h"
+#include "core/controller.h"
 #include "core/messages.h"
 #include "memcg/mem_cgroup.h"
 
 namespace escra::ha {
 
-enum class WalKind : std::uint8_t {
-  kEpochStart,  // new leadership epoch: replica state resets, then rebuilds
-  kRegister,    // container joined: committed cores/mem/bw on a node
-  kDeregister,  // container left (deregistered or quarantine-reclaimed)
-  kCpuSlot,     // desired-state CPU slot opened/superseded (seq, cores)
-  kMemSlot,     // desired-state memory slot opened/superseded (seq, bytes)
-  kAckSlot,     // slot closed by the Agent's ack (seq identifies it)
-  kMemShadow,   // shadow memory limit moved without a slot (reclaim sweep)
-  kNodeHealth,  // node liveness / agent-incarnation transition
-  kBwSlot,      // desired-state bandwidth slot opened/superseded (seq, bw)
-  kCredit,      // credit-ledger account moved (balance + mint/burn totals)
-  kRt,          // RT reservation admitted (absolute image) or revoked
-};
-
+// One log entry: a replicated Controller state change, or — local to the
+// log — the marker that opens a leadership epoch.
 struct WalRecord {
-  WalKind kind = WalKind::kEpochStart;
+  // New leadership epoch: the replica state resets, then rebuilds from the
+  // records the new leader replays right after this one.
+  bool epoch_start = false;
   std::uint64_t epoch = 0;  // leader epoch that wrote the record
   std::uint64_t index = 0;  // position in the log (assigned by append)
-  cluster::ContainerId container = 0;
-  cluster::NodeId node = 0;
-  std::uint64_t seq = 0;  // slot sequence (k*Slot/kAckSlot)
-  // Resource of the slot being acked (kAckSlot). `is_mem` predates the
-  // three-resource slot space and stays in sync for CPU/memory consumers.
-  bool is_mem = false;
-  core::Resource resource = core::Resource::kCpu;
-  double cores = 0.0;
-  memcg::Bytes mem = 0;
-  double bw_bps = 0.0;                  // kRegister / kBwSlot
-  std::uint64_t agent_incarnation = 0;  // kNodeHealth
-  bool node_dead = false;               // kNodeHealth
-  // kCredit: absolute balance image plus the ledger's running mint/burn
-  // totals as of this record, so a replayed prefix always satisfies the
-  // conservation law (minted == burned + sum of balances) exactly.
-  std::int64_t credit_micro = 0;
-  std::int64_t credit_minted = 0;
-  std::int64_t credit_burned = 0;
-  bool credit_removed = false;  // account closed (balance burned)
-  // kRt: absolute reservation image (`cores` carries the admitted floor,
-  // `bw_bps` the bandwidth reservation alongside the triple).
-  sim::Duration rt_runtime = 0;
-  sim::Duration rt_deadline = 0;
-  sim::Duration rt_period = 0;
-  bool rt_removed = false;  // reservation revoked (kRtEvicted decision)
+  core::Controller::ReplicationEvent event;  // unused when epoch_start
 };
 
 // The leader's in-memory log. Indices never reset (standby cursors stay
@@ -119,9 +87,7 @@ struct ReplicaState {
   };
   struct SlotState {
     std::uint64_t seq = 0;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    core::Limit limit;
   };
   struct NodeState {
     std::uint64_t agent_incarnation = 0;
@@ -153,81 +119,82 @@ struct ReplicaState {
   }
 
   void apply(const WalRecord& r) {
-    switch (r.kind) {
-      case WalKind::kEpochStart:
-        // The new leader re-registers everything through its replication
-        // hook right after this record; the replica rebuilds from that.
-        containers.clear();
-        slots.clear();
-        nodes.clear();
-        credits.clear();
-        credit_minted = 0;
-        credit_burned = 0;
-        rt.clear();
-        epoch = r.epoch;
+    if (r.epoch_start) {
+      // The new leader re-registers everything through its replication hook
+      // right after this record; the replica rebuilds from that.
+      containers.clear();
+      slots.clear();
+      nodes.clear();
+      credits.clear();
+      credit_minted = 0;
+      credit_burned = 0;
+      rt.clear();
+      epoch = r.epoch;
+      return;
+    }
+    using Kind = core::Controller::ReplicationEvent::Kind;
+    const core::Controller::ReplicationEvent& e = r.event;
+    switch (e.kind) {
+      case Kind::kRegister:
+        containers[e.container] =
+            ContainerState{e.cores, e.mem, e.node, e.bw_bps};
         break;
-      case WalKind::kRegister:
-        containers[r.container] =
-            ContainerState{r.cores, r.mem, r.node, r.bw_bps};
+      case Kind::kDeregister:
+        containers.erase(e.container);
+        slots.erase(slot_key(e.container, core::Resource::kCpu));
+        slots.erase(slot_key(e.container, core::Resource::kMem));
+        slots.erase(slot_key(e.container, core::Resource::kBw));
+        rt.erase(e.container);
         break;
-      case WalKind::kDeregister:
-        containers.erase(r.container);
-        slots.erase(slot_key(r.container, core::Resource::kCpu));
-        slots.erase(slot_key(r.container, core::Resource::kMem));
-        slots.erase(slot_key(r.container, core::Resource::kBw));
-        rt.erase(r.container);
-        break;
-      case WalKind::kCpuSlot: {
-        slots[slot_key(r.container, core::Resource::kCpu)] =
-            SlotState{r.seq, r.cores, 0, 0.0};
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.cores = r.cores;
+      case Kind::kSlot: {
+        slots[slot_key(e.container, e.limit.resource)] =
+            SlotState{e.seq, e.limit};
+        const auto it = containers.find(e.container);
+        if (it == containers.end()) break;
+        // The slot's value is the container's new shadow commitment.
+        switch (e.limit.resource) {
+          case core::Resource::kCpu:
+            it->second.cores = e.limit.value;
+            break;
+          case core::Resource::kMem:
+            it->second.mem = static_cast<memcg::Bytes>(e.limit.value);
+            break;
+          case core::Resource::kBw:
+            it->second.bw_bps = e.limit.value;
+            break;
+        }
         break;
       }
-      case WalKind::kMemSlot: {
-        slots[slot_key(r.container, core::Resource::kMem)] =
-            SlotState{r.seq, 0.0, r.mem, 0.0};
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.mem = r.mem;
-        break;
-      }
-      case WalKind::kBwSlot: {
-        slots[slot_key(r.container, core::Resource::kBw)] =
-            SlotState{r.seq, 0.0, 0, r.bw_bps};
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.bw_bps = r.bw_bps;
-        break;
-      }
-      case WalKind::kAckSlot: {
-        const auto it = slots.find(slot_key(r.container, r.resource));
+      case Kind::kAckSlot: {
+        const auto it = slots.find(slot_key(e.container, e.limit.resource));
         // A newer (superseding) slot under the same key stays open: only
         // the ack for the newest sequence closes it.
-        if (it != slots.end() && it->second.seq == r.seq) slots.erase(it);
+        if (it != slots.end() && it->second.seq == e.seq) slots.erase(it);
         break;
       }
-      case WalKind::kMemShadow: {
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.mem = r.mem;
+      case Kind::kMemShadow: {
+        const auto it = containers.find(e.container);
+        if (it != containers.end()) it->second.mem = e.mem;
         break;
       }
-      case WalKind::kNodeHealth:
-        nodes[r.node] = NodeState{r.agent_incarnation, r.node_dead};
+      case Kind::kNodeHealth:
+        nodes[e.node] = NodeState{e.agent_incarnation, e.node_dead};
         break;
-      case WalKind::kCredit:
-        if (r.credit_removed) {
-          credits.erase(r.container);
+      case Kind::kCredit:
+        if (e.credit_removed) {
+          credits.erase(e.container);
         } else {
-          credits[r.container] = r.credit_micro;
+          credits[e.container] = e.credit_micro;
         }
-        credit_minted = r.credit_minted;
-        credit_burned = r.credit_burned;
+        credit_minted = e.credit_minted;
+        credit_burned = e.credit_burned;
         break;
-      case WalKind::kRt:
-        if (r.rt_removed) {
-          rt.erase(r.container);
+      case Kind::kRt:
+        if (e.rt_removed) {
+          rt.erase(e.container);
         } else {
-          rt[r.container] =
-              RtState{r.rt_runtime, r.rt_deadline, r.rt_period, r.bw_bps};
+          rt[e.container] =
+              RtState{e.rt_runtime, e.rt_deadline, e.rt_period, e.bw_bps};
         }
         break;
     }

@@ -1,9 +1,9 @@
 // Property test for the desired-state slot machinery under the coalesced
-// (batched) limit-RPC path — and, as a control, the legacy one-RPC-per-update
-// path. An rng-scripted interleaving of register/deregister churn, grant-
-// and shrink-provoking load, lossy/duplicating control RPC (acks lost,
-// requests dropped, retransmits, dup deliveries) runs against a reference
-// model fed from the decision trace's record hook:
+// (batched) limit-RPC path. An rng-scripted interleaving of
+// register/deregister churn, grant- and shrink-provoking load, and
+// lossy/duplicating control RPC (acks lost, requests dropped, retransmits,
+// dup deliveries) runs against a reference model fed from the decision
+// trace's record hook:
 //
 //   * no desired-state slot ever regresses its sequence number — every
 //     kRpcIssued's open slot carries a seq strictly above anything that key
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/config.h"
 #include "core/controller.h"
 #include "core/escra.h"
 #include "net/network.h"
@@ -66,7 +65,7 @@ struct SlotModel {
     for (const core::Controller::TakeoverSlot& s :
          controller->pending_slots()) {
       const std::uint64_t k = static_cast<std::uint64_t>(s.id) * 4 +
-                              static_cast<std::uint64_t>(s.resource);
+                              static_cast<std::uint64_t>(s.limit.resource);
       if (k == key) return s.seq;
     }
     return 0;
@@ -131,7 +130,7 @@ struct RunStats {
   std::uint64_t batched = 0, entries = 0, dups = 0;
 };
 
-RunStats run_interleaving(std::uint64_t seed, bool batched) {
+RunStats run_interleaving(std::uint64_t seed) {
   sim::Simulation sim;
   net::Network net(sim);
   cluster::Cluster k8s(sim);
@@ -146,9 +145,7 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
     containers.push_back(&k8s.create_container(spec, 0.5, 128 * kMiB));
   }
 
-  core::EscraConfig cfg;
-  cfg.batch_limit_updates = batched;
-  core::EscraSystem escra(sim, net, k8s, 24.0, 8 * kGiB, cfg);
+  core::EscraSystem escra(sim, net, k8s, 24.0, 8 * kGiB);
   obs::Observer observer;
   escra.attach_observer(observer);
   escra.manage({containers.begin(), containers.begin() + 8});
@@ -223,7 +220,7 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
 TEST(BatchPropertyTest, RandomInterleavingsHoldSlotInvariantsWhenBatched) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 0xe5c7aull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunStats s = run_interleaving(seed, /*batched=*/true);
+    const RunStats s = run_interleaving(seed);
     // The scenario must actually exercise the machinery, not pass vacuously.
     EXPECT_GT(s.issues, 100u);
     EXPECT_GT(s.applies, 100u);
@@ -232,14 +229,6 @@ TEST(BatchPropertyTest, RandomInterleavingsHoldSlotInvariantsWhenBatched) {
     EXPECT_GT(s.entries, s.batched)
         << "same-node updates in one tick must coalesce (entries > RPCs)";
   }
-}
-
-TEST(BatchPropertyTest, LegacyPerUpdatePathHoldsTheSameInvariants) {
-  const RunStats s = run_interleaving(42, /*batched=*/false);
-  EXPECT_GT(s.issues, 100u);
-  EXPECT_GT(s.retransmits, 0u);
-  EXPECT_EQ(s.batched, 0u) << "legacy mode must not send batched RPCs";
-  EXPECT_EQ(s.entries, 0u);
 }
 
 }  // namespace

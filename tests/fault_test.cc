@@ -43,20 +43,24 @@ TEST(FaultTest, SequencedApplyIsIdempotent) {
   core::Agent agent(node);
   agent.manage(c);
 
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 2.0, 5), core::Agent::Apply::kApplied);
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 2.0}, 5),
+            core::Agent::Apply::kApplied);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
 
   // The same sequence again, and an older one: both discarded, limit intact.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 5), core::Agent::Apply::kStale);
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 4), core::Agent::Apply::kStale);
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 3.0}, 5),
+            core::Agent::Apply::kStale);
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 3.0}, 4),
+            core::Agent::Apply::kStale);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
 
   // A newer sequence supersedes.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 6), core::Agent::Apply::kApplied);
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 3.0}, 6),
+            core::Agent::Apply::kApplied);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 3.0);
 
   // Sequences are tracked per resource: memory starts fresh.
-  EXPECT_EQ(agent.apply_mem_limit(c.id(), 256 * kMiB, 5),
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kMem, 256.0 * kMiB}, 5),
             core::Agent::Apply::kApplied);
   EXPECT_EQ(c.mem_cgroup().limit(), 256 * kMiB);
 }
@@ -68,7 +72,8 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   cluster::Container& c = make_container(k8s, "a");
   core::Agent agent(node);
   agent.manage(c);
-  ASSERT_EQ(agent.apply_cpu_limit(c.id(), 2.0, 9), core::Agent::Apply::kApplied);
+  ASSERT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 2.0}, 9),
+            core::Agent::Apply::kApplied);
   const std::uint64_t inc_before = agent.incarnation();
 
   agent.crash();
@@ -76,7 +81,7 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   // The node fails static: the cgroup keeps the last applied limit...
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
   // ...and RPCs to the dead process get no response at all.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 4.0, 10),
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 4.0}, 10),
             core::Agent::Apply::kRejected);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
 
@@ -85,7 +90,8 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   EXPECT_GT(agent.incarnation(), inc_before);
   // The sequence table died with the process: an "old" sequence applies
   // again (the Controller resync makes this safe by pushing fresh state).
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 1.5, 1), core::Agent::Apply::kApplied);
+  EXPECT_EQ(agent.apply_limit(c.id(), {core::Resource::kCpu, 1.5}, 1),
+            core::Agent::Apply::kApplied);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 1.5);
 }
 

@@ -113,34 +113,42 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
   // Folding any record prefix in index order gives the same state no matter
   // who holds it — replay a synthetic log twice, in one pass and split
   // across two ReplicaStates joined by copy.
+  using Kind = core::Controller::ReplicationEvent::Kind;
+  constexpr cluster::ContainerId kId = 7;
+  const auto event = [](Kind kind) {
+    ha::WalRecord r;
+    r.epoch = 3;
+    r.event.kind = kind;
+    r.event.container = kId;
+    return r;
+  };
+  const auto slot = [&](std::uint64_t counter, core::Limit limit) {
+    ha::WalRecord r = event(Kind::kSlot);
+    r.event.seq = core::pack_update_seq(3, counter);
+    r.event.limit = limit;
+    return r;
+  };
   ha::WalLog log;
   std::vector<ha::WalRecord> records;
   {
     ha::WalRecord r;
-    r.kind = ha::WalKind::kEpochStart;
+    r.epoch_start = true;
     r.epoch = 3;
     records.push_back(r);
-    r = {};
-    r.kind = ha::WalKind::kRegister;
-    r.epoch = 3;
-    r.container = 7;
-    r.node = 1;
-    r.cores = 2.0;
-    r.mem = 256 * kMiB;
+    r = event(Kind::kRegister);
+    r.event.node = 1;
+    r.event.cores = 2.0;
+    r.event.mem = 256 * kMiB;
+    r.event.bw_bps = 1e6;
     records.push_back(r);
-    r = {};
-    r.kind = ha::WalKind::kCpuSlot;
-    r.epoch = 3;
-    r.container = 7;
-    r.seq = core::pack_update_seq(3, 41);
-    r.cores = 3.0;
-    records.push_back(r);
-    r = {};
-    r.kind = ha::WalKind::kAckSlot;
-    r.epoch = 3;
-    r.container = 7;
-    r.seq = core::pack_update_seq(3, 41);
-    r.is_mem = false;
+    records.push_back(slot(41, {core::Resource::kCpu, 3.0}));
+    records.push_back(slot(42, {core::Resource::kMem, 320.0 * kMiB}));
+    records.push_back(slot(43, {core::Resource::kBw, 2e6}));
+    // The memory ack closes only the memory slot: the CPU and bandwidth
+    // slots of the same container stay open under their own keys.
+    r = event(Kind::kAckSlot);
+    r.event.seq = core::pack_update_seq(3, 42);
+    r.event.limit.resource = core::Resource::kMem;
     records.push_back(r);
   }
   for (const auto& r : records) log.append(r);
@@ -150,16 +158,36 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
     one_pass.apply(log.at(i));
   }
   ha::ReplicaState prefix;
-  prefix.apply(log.at(0));
-  prefix.apply(log.at(1));
+  for (std::uint64_t i = 0; i < 3; ++i) prefix.apply(log.at(i));
   ha::ReplicaState resumed = prefix;  // handoff mid-log
-  resumed.apply(log.at(2));
-  resumed.apply(log.at(3));
+  for (std::uint64_t i = 3; i < log.next_index(); ++i) {
+    resumed.apply(log.at(i));
+  }
   expect_replica_equals(one_pass, resumed);
 
   EXPECT_EQ(one_pass.epoch, 3u);
-  EXPECT_DOUBLE_EQ(one_pass.containers.at(7).cores, 3.0);
-  EXPECT_TRUE(one_pass.slots.empty()) << "ack closed the slot";
+  const ha::ReplicaState::ContainerState& shadow = one_pass.containers.at(kId);
+  EXPECT_DOUBLE_EQ(shadow.cores, 3.0);
+  EXPECT_EQ(shadow.mem, 320 * kMiB);
+  EXPECT_DOUBLE_EQ(shadow.bw_bps, 2e6);
+
+  const std::uint64_t cpu_key =
+      ha::ReplicaState::slot_key(kId, core::Resource::kCpu);
+  const std::uint64_t mem_key =
+      ha::ReplicaState::slot_key(kId, core::Resource::kMem);
+  const std::uint64_t bw_key =
+      ha::ReplicaState::slot_key(kId, core::Resource::kBw);
+  EXPECT_NE(cpu_key, mem_key);
+  EXPECT_NE(cpu_key, bw_key);
+  EXPECT_NE(mem_key, bw_key);
+  EXPECT_EQ(one_pass.slots.count(mem_key), 0u) << "ack closed its own slot";
+  ASSERT_EQ(one_pass.slots.size(), 2u);
+  EXPECT_EQ(one_pass.slots.at(cpu_key).seq, core::pack_update_seq(3, 41));
+  EXPECT_EQ(one_pass.slots.at(cpu_key).limit.resource, core::Resource::kCpu);
+  EXPECT_DOUBLE_EQ(one_pass.slots.at(cpu_key).limit.value, 3.0);
+  EXPECT_EQ(one_pass.slots.at(bw_key).seq, core::pack_update_seq(3, 43));
+  EXPECT_EQ(one_pass.slots.at(bw_key).limit.resource, core::Resource::kBw);
+  EXPECT_DOUBLE_EQ(one_pass.slots.at(bw_key).limit.value, 2e6);
 }
 
 // --- clean failover -----------------------------------------------------
@@ -258,8 +286,8 @@ TEST(HaTest, DeposedLeaderIsFencedAndCanNeverMoveACgroup) {
   ASSERT_NE(home, nullptr);
   core::Agent* agent = rig.escra.controller().agent_at(home->id());
   const double limit_before = victim->cpu_cgroup().limit_cores();
-  EXPECT_EQ(agent->apply_cpu_limit(
-                victim->id(), 99.0,
+  EXPECT_EQ(agent->apply_limit(
+                victim->id(), {core::Resource::kCpu, 99.0},
                 core::pack_update_seq(old_epoch, core::kUpdateSeqMask - 1)),
             core::Agent::Apply::kFenced);
   EXPECT_DOUBLE_EQ(victim->cpu_cgroup().limit_cores(), limit_before);

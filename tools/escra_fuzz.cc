@@ -91,19 +91,13 @@
 //                         a seed's scenario is identical with and without
 //                         this flag. Composes with --fault-profile,
 //                         --standbys/--leader-churn (per-shard warm
-//                         standbys; shard 0 takes the faults), --legacy-rpc,
-//                         and any --jobs count byte-identically; --bw and
+//                         standbys; shard 0 takes the faults), and any
+//                         --jobs count byte-identically; --bw and
 //                         --greedy are per-tenant overlays and are
 //                         rejected. With N >= 2 the sweep is additionally
 //                         non-vacuous: at least one cross-shard borrow
 //                         grant must land across the whole sweep or the
 //                         exit status is 1.
-//     --legacy-rpc        run every tenant with batch_limit_updates=false —
-//                         the legacy one-RPC-per-update wire path instead
-//                         of the coalesced per-node batches. The scenario
-//                         draws are untouched, so a seed's scenario is
-//                         identical with and without this flag; only the
-//                         transport differs. Used by CI to fuzz both paths.
 //     --force-overgrant   plant a violation: mid-run, set one container's
 //                         CPU cgroup directly past the global limit,
 //                         bypassing the allocator (checker must catch it)
@@ -178,7 +172,6 @@ struct Options {
   bool greedy = false;
   bool rt = false;
   int shards = 0;
-  bool legacy_rpc = false;
   bool force_overgrant = false;
   bool rss_check = false;
   bool quiet = false;
@@ -190,7 +183,7 @@ void usage() {
                "                  [--trace-tail N] [--repro-out FILE]\n"
                "                  [--fault-profile] [--standbys N]\n"
                "                  [--leader-churn] [--bw] [--greedy] [--rt]\n"
-               "                  [--shards N] [--legacy-rpc]\n"
+               "                  [--shards N]\n"
                "                  [--force-overgrant] [--rss-check] [--quiet]\n");
 }
 
@@ -245,8 +238,6 @@ std::optional<Options> parse_args(int argc, char** argv) {
       opts.rt = true;
     } else if (flag == "--shards") {
       opts.shards = static_cast<int>(parse_u64(flag, next()));
-    } else if (flag == "--legacy-rpc") {
-      opts.legacy_rpc = true;
     } else if (flag == "--force-overgrant") {
       opts.force_overgrant = true;
     } else if (flag == "--rss-check") {
@@ -314,9 +305,6 @@ struct Scenario {
   // Sharded control plane with this many shards (set from --shards, not
   // drawn: only the control-plane topology changes, never the scenario).
   int shards = 0;
-  // Legacy one-RPC-per-update wire path (set from --legacy-rpc, not drawn:
-  // only the transport changes, never the scenario).
-  bool legacy_rpc = false;
   std::vector<TenantPlan> tenants;
 };
 
@@ -399,7 +387,6 @@ std::string to_json(const Scenario& s) {
   out += s.rt ? ", \"rt\": true" : ", \"rt\": false";
   std::snprintf(buf, sizeof(buf), ", \"shards\": %d", s.shards);
   out += buf;
-  out += s.legacy_rpc ? ", \"legacy_rpc\": true" : ", \"legacy_rpc\": false";
   out += ",\n  \"tenants\": [";
   for (std::size_t t = 0; t < s.tenants.size(); ++t) {
     const TenantPlan& tp = s.tenants[t];
@@ -663,7 +650,6 @@ RunOutcome run_sharded_scenario(const Scenario& s, bool force_overgrant,
   shard::ShardPlaneConfig pcfg;
   pcfg.shards = s.shards;
   pcfg.escra = s.tenants.front().cfg;
-  if (s.legacy_rpc) pcfg.escra.batch_limit_updates = false;
 
   // Observers are declared before the plane (they must outlive it) and
   // attached before manage() so registration events land in the trace.
@@ -847,11 +833,10 @@ RunOutcome run_sharded_scenario(const Scenario& s, bool force_overgrant,
     }
     std::snprintf(buf, sizeof(buf),
                   "replay: escra-fuzz --seed %" PRIu64
-                  " --runs 1 --shards %d%s%s%s%s%s\n",
+                  " --runs 1 --shards %d%s%s%s%s\n",
                   s.seed, s.shards,
                   s.fault_profile && !s.leader_churn ? " --fault-profile" : "",
                   standby_flags, s.rt ? " --rt" : "",
-                  s.legacy_rpc ? " --legacy-rpc" : "",
                   force_overgrant ? " --force-overgrant" : "");
     outcome.failure_text += buf;
   }
@@ -916,7 +901,6 @@ RunOutcome run_scenario(const Scenario& s, bool force_overgrant,
     const TenantPlan& tp = s.tenants[t];
     Tenant tenant;
     core::EscraConfig cfg = tp.cfg;
-    if (s.legacy_rpc) cfg.batch_limit_updates = false;
     // The adversarial overlay fights a defended control plane: the point of
     // the sweep is that the credit machinery holds its invariants under
     // arbitrary scenarios, not that lying is profitable.
@@ -1128,12 +1112,11 @@ RunOutcome run_scenario(const Scenario& s, bool force_overgrant,
     }
     std::snprintf(buf, sizeof(buf),
                   "replay: escra-fuzz --seed %" PRIu64
-                  " --runs 1%s%s%s%s%s%s%s\n",
+                  " --runs 1%s%s%s%s%s%s\n",
                   s.seed,
                   s.fault_profile && !s.leader_churn ? " --fault-profile" : "",
                   standby_flags, s.bw ? " --bw" : "",
                   s.greedy ? " --greedy" : "", s.rt ? " --rt" : "",
-                  s.legacy_rpc ? " --legacy-rpc" : "",
                   force_overgrant ? " --force-overgrant" : "");
     outcome.failure_text += buf;
   }
@@ -1210,7 +1193,6 @@ int main(int argc, char** argv) {
     scenario.greedy = opts.greedy;
     scenario.rt = opts.rt;
     scenario.shards = opts.shards;
-    scenario.legacy_rpc = opts.legacy_rpc;
     std::ofstream out(opts.repro_out);
     if (!out) {
       std::fprintf(stderr, "error: cannot write %s\n", opts.repro_out.c_str());
@@ -1239,8 +1221,7 @@ int main(int argc, char** argv) {
         scenario.greedy = opts.greedy;
         scenario.rt = opts.rt;
         scenario.shards = opts.shards;
-        scenario.legacy_rpc = opts.legacy_rpc;
-        RunOutcome outcome =
+            RunOutcome outcome =
             run_scenario(scenario, opts.force_overgrant, opts.trace_tail);
         if (opts.rss_check && i + 1 == kRssWarmupRuns) {
           rss_baseline_kib = current_rss_kib();
@@ -1286,8 +1267,7 @@ int main(int argc, char** argv) {
           scenario.greedy = opts.greedy;
           scenario.rt = opts.rt;
           scenario.shards = opts.shards;
-          scenario.legacy_rpc = opts.legacy_rpc;
-          out << to_json(scenario);
+                out << to_json(scenario);
           wrote_violation_repro = true;
           std::fprintf(stderr,
                        "violating scenario (seed %" PRIu64 ") written to %s\n",
