@@ -17,7 +17,9 @@
 //    fault schedules consume the wire's rng draws, so those digests also pin
 //    the limit-update wire shape). Under faults each run must additionally
 //    be exactly reproducible run-to-run, keep every invariant green, and end
-//    converged.
+//    converged. One more raw-trace digest pins a run with the bandwidth arm,
+//    the credit defense and RT admissions all on, so the shrink, credit and
+//    floor paths are covered too.
 //
 // 3) Sharded vs single controller: a ShardedControlPlane at --shards 1 is
 //    the same EscraSystem behind a router, so its decision stream must be
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "baselines/static_policy.h"
+#include "bw/shaper.h"
 #include "check/invariant_checker.h"
 #include "check/shard_checker.h"
 #include "cluster/cluster.h"
@@ -154,6 +157,15 @@ struct CanonicalOptions {
   bool failover = false;  // kill the leader mid-batch at t = 1 s
   int shards = 0;         // 0 = bare EscraSystem, >=1 = ShardedControlPlane
   int apps = 1;           // contiguous app groups (sharded runs only)
+  // Bare-controller overlays. `bw` shapes every node (ClusterShaper plus
+  // the bandwidth arm) and drives attributed egress from every fourth
+  // container; `credit` turns on credit_defense; `rt` admits a few RT
+  // reservations at t = 0.5 s, one with a bandwidth reservation when `bw`
+  // is on.
+  bool bw = false;
+  bool credit = false;
+  bool rt = false;
+  double pool_cores = 512.0;
 };
 
 struct CanonicalRun {
@@ -172,6 +184,13 @@ struct CanonicalRun {
   std::uint64_t failovers = 0;
   std::uint64_t borrow_grants = 0;
   std::size_t registered = 0;
+
+  std::size_t count(obs::EventKind kind) const {
+    return static_cast<std::size_t>(std::count_if(
+        canonical_trace.begin(), canonical_trace.end(), [kind](const auto& e) {
+          return std::get<1>(e) == static_cast<int>(kind);
+        }));
+  }
 };
 
 // The canonical 64-node, 256-container cluster from bench/sim_throughput's
@@ -187,13 +206,26 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
     k8s.add_node(cluster::NodeConfig{.cores = 20.0});
   }
   core::EscraConfig cfg;
+  cfg.credit_defense = opt.credit;
+  // Every shaped container starts at 2 MB/s; idle ones shed toward the
+  // floor from their first sample once gamma sits below that share.
+  if (opt.bw) cfg.bw_gamma = 0.5e6;
+  // Declared before the system that keeps a pointer to it.
+  std::optional<bw::ClusterShaper> shaper;
+  if (opt.bw) {
+    shaper.emplace(sim);
+    for (int n = 0; n < kNodes; ++n) {
+      shaper->add_node(static_cast<std::uint32_t>(n), 12.5e6);
+    }
+    network.set_shaper(&*shaper);
+  }
   // Either one bare EscraSystem or a ShardedControlPlane over the identical
   // pool — built in the same order so `--shards 1` replays the exact event
   // schedule of the unsharded controller.
   std::optional<core::EscraSystem> bare;
   std::optional<shard::ShardedControlPlane> plane;
   if (opt.shards == 0) {
-    bare.emplace(sim, network, k8s, 512.0, 256LL * memcg::kGiB, cfg);
+    bare.emplace(sim, network, k8s, opt.pool_cores, 256LL * memcg::kGiB, cfg);
   } else {
     shard::ShardPlaneConfig pcfg;
     pcfg.shards = opt.shards;
@@ -209,6 +241,10 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
   obs::Observer& observer = *observers[0];
   if (bare) {
     bare->attach_observer(observer);
+    if (shaper) {
+      shaper->set_observer(&observer);
+      bare->enable_bandwidth(*shaper, 256 * 2.0e6);
+    }
   } else {
     for (int s = 0; s < opt.shards; ++s) {
       plane->attach_observer(s, *observers[s]);
@@ -226,6 +262,10 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
       checkers.push_back(std::make_unique<check::InvariantChecker>(
           plane->shard(s), network, *observers[s]));
     }
+  }
+  if (shaper) checkers.front()->attach_bw(*shaper);
+  if (opt.credit) {
+    checkers.front()->attach_credits(bare->controller().credits());
   }
   std::optional<check::ShardInvariantChecker> shard_checker;
   if (plane) shard_checker.emplace(*plane);
@@ -282,6 +322,39 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
         ha->kill_leader();
       } else {
         plane->ha(0).kill_leader();
+      }
+    });
+  }
+
+  if (shaper) {
+    for (std::size_t c = 0; c < members.size(); c += 4) {
+      const cluster::Container* from = members[c];
+      const cluster::Container* to = members[(c + 1) % members.size()];
+      cluster::Cluster* k8sp = &k8s;
+      net::Network* netp = &network;
+      // 30 kB every 10 ms: 3 MB/s against a 2 MB/s bootstrap share.
+      sim.schedule_every(
+          milliseconds(1 + static_cast<sim::Duration>(c % 10)),
+          milliseconds(10), [from, to, k8sp, netp] {
+            netp->send_flow(
+                net::Channel::kAppData,
+                static_cast<net::EndpointId>(k8sp->node_of(from->id())->id()),
+                static_cast<net::EndpointId>(k8sp->node_of(to->id())->id()),
+                from->id(), to->id(), 30'000, [] {});
+          });
+    }
+  }
+  if (opt.rt) {
+    // Floors of 0.9 cores above a smaller pool's fair share: admission has
+    // to shed best-effort members to raise each one.
+    cfs::RtSpec spec;
+    spec.runtime = milliseconds(90);
+    spec.deadline = milliseconds(100);
+    spec.period = milliseconds(100);
+    sim.schedule_at(milliseconds(500), [&, spec] {
+      for (const std::size_t m : {0u, 37u, 101u, 200u}) {
+        const double bw = opt.bw && m == 0 ? 3.0e6 : 0.0;
+        bare->admit_rt(*members[m], spec, bw);
       }
     });
   }
@@ -393,6 +466,7 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
     r.borrow_grants = plane->borrows_granted();
   }
   r.batched_rpcs = observer.h.batched_rpcs->value();
+
   r.batch_entries = observer.h.batch_entries->value();
   return r;
 }
@@ -475,6 +549,20 @@ TEST(DifferentialTest, CanonicalDecisionStreamsMatchCommittedDigests) {
   const CanonicalRun sharded =
       run_canonical({.failover = true, .shards = 4, .apps = 32});
   EXPECT_EQ(digest_of_text(sharded.raw_trace), 0x3314b73a954ba0aeULL);
+}
+
+// The bandwidth arm, the credit ledger and RT admissions on one canonical
+// run, pinned the same way: the bw grant/shrink path, the credit charge and
+// decay paths, and the RT floor raise and best-effort shedding all land in
+// this raw trace.
+TEST(DifferentialTest, BandwidthCreditRtRunMatchesCommittedDigest) {
+  const CanonicalRun r = run_canonical(
+      {.bw = true, .credit = true, .rt = true, .pool_cores = 128.0});
+  EXPECT_TRUE(r.checker_ok) << r.checker_report;
+  EXPECT_GT(r.count(obs::EventKind::kBwShrink), 0u);
+  EXPECT_GT(r.count(obs::EventKind::kCreditCharge), 0u);
+  EXPECT_GT(r.count(obs::EventKind::kRtAdmitted), 0u);
+  EXPECT_EQ(digest_of_text(r.raw_trace), 0x7522ec0de8ceba5cULL);
 }
 
 TEST(DifferentialTest, BothPathsAreReproducibleAndSoundUnderRpcLoss) {
