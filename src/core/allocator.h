@@ -11,6 +11,7 @@
 // responsible for making those ... decisions").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -61,7 +62,7 @@ class ResourceAllocator {
   // reclamation pass, so the allocator denies instead of looping.
   MemDecision on_oom_event(const OomEventMsg& event, bool post_reclaim = false);
 
-  // --- bandwidth (third managed resource; mirrors the CPU arm with rates
+  // --- bandwidth (third managed resource; the CPU arm's rule with rates
   //     in bytes/s) ---
 
   // Consumes one per-period bandwidth sample from the node shapers. If a
@@ -82,10 +83,16 @@ class ResourceAllocator {
   // Controller at admission, cleared at eviction/deregistration. RT
   // containers also bypass the credit Υ-gate: their priority was paid for
   // at admission, not borrowed from the Karma ledger.
+  // These rows are the only store of admitted floors.
   void set_rt_floor(std::uint32_t id, double cores, double bw_bps);
   void clear_rt_floor(std::uint32_t id);
-  double rt_floor(std::uint32_t id) const;
-  double rt_bw_floor(std::uint32_t id) const;
+  // The admitted RT floor of `r` (kCpu or kBw); 0 for best-effort or
+  // unknown containers.
+  double rt_floor(Resource r, std::uint32_t id) const;
+  // The never-reclaim floor of `r` (kCpu or kBw): the configured minimum,
+  // raised to the RT floor when one is admitted. Every shrink path — κ
+  // reclaim, credit decay, best-effort shedding — stops here.
+  double floor(Resource r, std::uint32_t id) const;
 
   // --- credit defense (Karma-style, see credit_ledger.h) ---
   // Read-only Υ-gate on the grant paths: with a ledger attached, a member
@@ -104,46 +111,70 @@ class ResourceAllocator {
   // --- introspection ---
   DistributedContainer& app() { return app_; }
   const EscraConfig& config() const { return config_; }
-  std::uint64_t cpu_scale_ups() const { return scale_ups_; }
-  std::uint64_t cpu_scale_downs() const { return scale_downs_; }
+  std::uint64_t cpu_scale_ups() const { return ups_[kCpuArm]; }
+  std::uint64_t cpu_scale_downs() const { return downs_[kCpuArm]; }
   std::uint64_t mem_grants() const { return mem_grants_; }
   std::uint64_t mem_denies() const { return mem_denies_; }
-  std::uint64_t bw_scale_ups() const { return bw_scale_ups_; }
-  std::uint64_t bw_scale_downs() const { return bw_scale_downs_; }
+  std::uint64_t bw_scale_ups() const { return ups_[kBwArm]; }
+  std::uint64_t bw_scale_downs() const { return downs_[kBwArm]; }
 
  private:
-  // Per-container sliding statistics; `unused` is in cores for the CPU
-  // windows and bytes/s for the bandwidth windows.
+  // The elastic arms: CPU in cores, bandwidth in bytes/s. Both run one
+  // rule (decide()); only units and tunables differ.
+  enum Arm : std::size_t { kCpuArm = 0, kBwArm = 1, kArms = 2 };
+  static Arm arm_of(Resource r) { return r == Resource::kBw ? kBwArm : kCpuArm; }
+  // One arm's tunables, from EscraConfig, and its decision counters.
+  struct ArmParams {
+    double upsilon = 0.0;
+    double gamma = 0.0;
+    double kappa = 0.0;
+    double min = 0.0;
+    double epsilon = 0.0;
+    obs::Counter* grants = nullptr;
+    obs::Counter* shrinks = nullptr;
+  };
+  // One period of telemetry in the arm's unit.
+  struct Sample {
+    bool throttled = false;
+    double used_last = 0.0;  // consumed last period
+    double unused = 0.0;     // limit left unused last period
+  };
+  // Per-container sliding statistics, in the arm's unit.
   struct Windows {
     sim::SlidingWindow throttles;
     sim::SlidingWindow unused;
     explicit Windows(std::size_t n) : throttles(n), unused(n) {}
   };
 
+  // Section IV-D1 for either arm: a Υ-gated grant from the unallocated pool
+  // (never past `ceiling`, an absolute limit) on a throttled period, a
+  // κ-damped reclaim above γ otherwise. Returns the committed new limit.
+  std::optional<double> decide(Arm arm, std::uint32_t slot, std::uint32_t id,
+                               double current, const Sample& sample,
+                               double ceiling);
+  double floor_at(Arm arm, std::uint32_t slot) const;
+  // The credit Υ-gate as a CPU grant ceiling (+∞ when it does not apply).
+  double cpu_grant_ceiling(std::uint32_t id, std::uint32_t slot) const;
+  double unallocated(Arm arm) const;
+  double set_member(Arm arm, std::uint32_t id, double value);
+
   EscraConfig config_;
   DistributedContainer& app_;
   obs::Observer* obs_ = nullptr;
   const CreditLedger* credits_ = nullptr;
-  // Registered containers interned to dense slots; the window SoA vectors
-  // below are indexed by slot. Both resource arms share one index — a
-  // container's CPU and bandwidth statistics live at the same slot.
+  std::array<ArmParams, kArms> arms_;
+  // Registered containers interned to dense slots; the per-arm rows below
+  // are indexed by slot, so a container's CPU and bandwidth statistics live
+  // at the same slot. Windows reset at registration.
   ContainerIndex index_;
-  std::vector<Windows> windows_;
-  // Bandwidth windows, lazily armed (bw_live_[slot]) on the first sample
-  // for a shaped container (samples only arrive when shaping is enabled,
-  // so pre-bw runs never touch these rows beyond the flag).
-  std::vector<Windows> bw_windows_;
-  std::vector<std::uint8_t> bw_live_;
-  // Per-slot RT reservation floors (0 = best-effort). Dense SoA rows like
-  // the windows: the scale-down hot paths read them with no map lookup.
-  std::vector<double> rt_floor_;
-  std::vector<double> rt_bw_floor_;
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_downs_ = 0;
+  std::array<std::vector<Windows>, kArms> windows_;
+  // Per-slot RT reservation floors (0 = best-effort): the scale-down hot
+  // paths read them with no map lookup.
+  std::array<std::vector<double>, kArms> rt_floor_;
+  std::array<std::uint64_t, kArms> ups_{};
+  std::array<std::uint64_t, kArms> downs_{};
   std::uint64_t mem_grants_ = 0;
   std::uint64_t mem_denies_ = 0;
-  std::uint64_t bw_scale_ups_ = 0;
-  std::uint64_t bw_scale_downs_ = 0;
 };
 
 }  // namespace escra::core

@@ -9,14 +9,8 @@
 namespace escra::core {
 
 namespace {
-// Minimum bandwidth-rate change worth an RPC, in bytes/s (8 KB/s). Matches
-// the allocator's decision epsilon so a clamp that erases the whole change
-// also suppresses the slot.
-constexpr double kBwRateEpsilon = 8e3;
-// Minimum CPU-limit change worth an RPC, in cores (the allocator's epsilon).
-constexpr double kCpuLimitEpsilon = 1e-3;
-// Tolerance for the RT floor-raising paths. kCpuLimitEpsilon exists to damp
-// RPC churn on best-effort limits, but an admitted reservation's floor is a
+// Tolerance for the RT floor-raising paths. The CPU limit_epsilon exists to
+// damp RPC churn on best-effort limits, but an admitted reservation's floor is a
 // core-for-core promise: leaving the book even a milli-core short of it is a
 // real deadline-miss cause the checker (cpu_eps = 1e-6) rightly flags. Only
 // floating-point dust is tolerated when raising to or shedding toward a floor.
@@ -203,15 +197,8 @@ void Controller::register_impl(cluster::Container& container,
                                             obs_->h.memcg_oom_rescues);
     obs_->h.registrations->inc();
     obs_->h.containers_active->set(static_cast<double>(index_.size()));
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerRegistered;
-    ev.container = container.id();
-    ev.node = node.id() + 1;
-    ev.before = 0.0;
-    ev.after = cores;
-    ev.detail = static_cast<std::int64_t>(mem);
-    obs_->record(ev);
+    trace(obs::EventKind::kContainerRegistered, container.id(), 0.0, cores,
+          static_cast<std::int64_t>(mem), 0, node.id() + 1);
   }
 
   if (config_.credit_defense) open_credit_account(container.id());
@@ -230,20 +217,13 @@ void Controller::register_impl(cluster::Container& container,
         // statistic to the wire. A throttled period opens a causal chain.
         const sim::TimePoint fire = sim_.now();
         obs::EventId cause = 0;
-        if (obs_ != nullptr && msg.throttled) {
-          obs::TraceEvent ev;
-          ev.time = fire;
-          ev.kind = obs::EventKind::kThrottleObserved;
-          ev.container = msg.cgroup;
-          const Entry* entry = find_entry(msg.cgroup);
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
+        if (msg.throttled) {
           const double limit_cores =
               static_cast<double>(msg.quota) /
               static_cast<double>(config_.cfs_period);
-          ev.before = limit_cores;
-          ev.after = limit_cores;
-          ev.detail = static_cast<std::int64_t>(msg.unused);
-          cause = obs_->record(ev);
+          cause = trace(obs::EventKind::kThrottleObserved, msg.cgroup,
+                        limit_cores, limit_cores,
+                        static_cast<std::int64_t>(msg.unused));
         }
         net_.send_to(net::Channel::kCpuTelemetry, ep(node_id),
                      net::kControllerEndpoint, kCpuStatsWireBytes,
@@ -281,47 +261,10 @@ void Controller::deregister_container(cluster::Container& container) {
                 [&container](const DeferredRegistration& d) {
                   return d.container == &container;
                 });
-  Entry* entry = find_entry(container.id());
-  if (entry == nullptr) return;
   // An admitted reservation is never dropped silently: the explicit
   // eviction decision (reason 0: released with its container) precedes the
   // kill event so the trace always explains why the floor vanished.
-  if (rt_.count(container.id()) != 0) evict_rt(container.id(), 0);
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerKilled;
-    ev.container = container.id();
-    ev.node = node_tag(*entry);
-    ev.before = allocator_.app().member_cores(container.id());
-    ev.after = 0.0;
-    ev.detail =
-        static_cast<std::int64_t>(allocator_.app().member_mem(container.id()));
-    obs_->record(ev);
-    obs_->h.deregistrations->inc();
-  }
-  cancel_pending_for(container.id());
-  close_credit_account(container.id());
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kDeregister;
-    rev.container = container.id();
-    emit_repl(rev);
-  }
-  entry->agent->unmanage(container.id());
-  // The container is gone: tear down its shaper lane (queued messages
-  // release unshaped). Quarantine reclaim does NOT do this — a dead node's
-  // shaper is unreachable and keeps its fail-static rates.
-  if (bw_shaper_ != nullptr) bw_shaper_->detach(container.id());
-  container.cpu_cgroup().set_period_hook(nullptr);
-  container.mem_cgroup().set_oom_hook(nullptr);
-  container.cpu_cgroup().set_obs_counters(nullptr, nullptr);
-  container.mem_cgroup().set_obs_counters(nullptr, nullptr);
-  allocator_.deregister_container(container.id());
-  index_.release(container.id());
-  if (obs_ != nullptr) {
-    obs_->h.containers_active->set(static_cast<double>(index_.size()));
-  }
+  release(container.id(), /*rt_reason=*/0, &container);
 }
 
 void Controller::deregister_quarantined(cluster::ContainerId id) {
@@ -329,22 +272,21 @@ void Controller::deregister_quarantined(cluster::ContainerId id) {
   // commitment is released, but the node is unreachable — its kernel hooks
   // and cgroup limits stay exactly as they are (the Agent still "manages"
   // it locally). If the node returns, resync re-adopts the container.
-  const Entry* entry = find_entry(id);
-  if (entry == nullptr) return;
   // Quarantine revokes the node's RT admissions explicitly (reason 1): the
   // reservation cannot be honored on a dead node, and a silent drop is
   // exactly what the kRtEvicted contract forbids.
-  if (rt_.count(id) != 0) evict_rt(id, 1);
+  release(id, /*rt_reason=*/1, nullptr);
+}
+
+void Controller::release(cluster::ContainerId id, int rt_reason,
+                         cluster::Container* container) {
+  Entry* entry = find_entry(id);
+  if (entry == nullptr) return;
+  if (rt_.count(id) != 0) evict_rt(id, rt_reason);
   if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerKilled;
-    ev.container = id;
-    ev.node = node_tag(*entry);
-    ev.before = allocator_.app().member_cores(id);
-    ev.after = 0.0;
-    ev.detail = static_cast<std::int64_t>(allocator_.app().member_mem(id));
-    obs_->record(ev);
+    trace(obs::EventKind::kContainerKilled, id,
+          allocator_.app().member_cores(id), 0.0,
+          static_cast<std::int64_t>(allocator_.app().member_mem(id)));
     obs_->h.deregistrations->inc();
   }
   cancel_pending_for(id);
@@ -354,6 +296,17 @@ void Controller::deregister_quarantined(cluster::ContainerId id) {
     rev.kind = ReplicationEvent::Kind::kDeregister;
     rev.container = id;
     emit_repl(rev);
+  }
+  if (container != nullptr) {
+    entry->agent->unmanage(id);
+    // The container is gone: tear down its shaper lane (queued messages
+    // release unshaped). Quarantine does NOT do this — a dead node's
+    // shaper is unreachable and keeps its fail-static rates.
+    if (bw_shaper_ != nullptr) bw_shaper_->detach(id);
+    container->cpu_cgroup().set_period_hook(nullptr);
+    container->mem_cgroup().set_oom_hook(nullptr);
+    container->cpu_cgroup().set_obs_counters(nullptr, nullptr);
+    container->mem_cgroup().set_obs_counters(nullptr, nullptr);
   }
   allocator_.deregister_container(id);
   index_.release(id);
@@ -467,12 +420,8 @@ void Controller::enable_bandwidth(bw::ClusterShaper& shaper) {
       config_.cfs_period, [this](const bw::BwSample& sample) {
         net_.send_to(net::Channel::kBwTelemetry, ep(sample.node),
                      net::kControllerEndpoint, kBwStatsWireBytes,
-                     [this, sample] { ingest_bw_stats(sample); });
+                     [this, sample] { on_bw_stats(sample); });
       });
-}
-
-void Controller::on_bw_stats(const bw::BwSample& sample) {
-  ingest_bw_stats(sample);
 }
 
 double Controller::node_bw_headroom(cluster::NodeId node,
@@ -528,7 +477,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
     // registration-time cgroup writes.
     if (!attached) bw_shaper_->attach(id, node.id());
     bw_shaper_->set_container_rate(id, committed);
-  } else if (std::abs(applied - committed) > kBwRateEpsilon) {
+  } else if (std::abs(applied - committed) > limit_epsilon(Resource::kBw)) {
     // Recovery: the shaper keeps the node's fail-static truth; the
     // correction travels as a normal sequenced update.
     LoopCtx ctx;
@@ -536,7 +485,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
   }
 }
 
-void Controller::ingest_bw_stats(const bw::BwSample& sample) {
+void Controller::on_bw_stats(const bw::BwSample& sample) {
   if (crashed_) return;
   if (obs_ != nullptr) obs_->h.bw_stats_ingested->inc();
 
@@ -554,36 +503,20 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
   if (rit->agent != nullptr) {
     const double nic = rit->agent->node().config().nic_bps;
     if (sample.used_bps < 0.0 || (nic > 0.0 && sample.used_bps > nic)) {
-      if (obs_ != nullptr) {
-        obs_->h.telemetry_rejected->inc();
-        obs::TraceEvent ev;
-        ev.time = sim_.now();
-        ev.kind = obs::EventKind::kTelemetryRejected;
-        ev.container = sample.container;
-        ev.node = node_tag(*rit);
-        ev.before = 2.0;  // resource flag: 2 = bandwidth
-        ev.after = nic;
-        ev.detail = static_cast<std::int64_t>(sample.used_bps);
-        obs_->record(ev);
-      }
+      if (obs_ != nullptr) obs_->h.telemetry_rejected->inc();
+      trace(obs::EventKind::kTelemetryRejected, sample.container,
+            static_cast<double>(Resource::kBw), nic,
+            static_cast<std::int64_t>(sample.used_bps));
       return;
     }
   }
 
   obs::EventId cause = 0;
   if (sample.throttled) {
-    if (obs_ != nullptr) {
-      obs_->h.bw_saturation->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kBwSaturation;
-      ev.container = sample.container;
-      ev.node = node_tag(*rit);
-      ev.before = sample.rate_bps;
-      ev.after = sample.rate_bps;
-      ev.detail = static_cast<std::int64_t>(sample.queue_depth);
-      cause = obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.bw_saturation->inc();
+    cause = trace(obs::EventKind::kBwSaturation, sample.container,
+                  sample.rate_bps, sample.rate_bps,
+                  static_cast<std::int64_t>(sample.queue_depth));
   }
 
   const double before = allocator_.app().member_bw(sample.container);
@@ -608,25 +541,18 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
   // The decision trace event always lands (1:1 with the allocator's
   // grant/shrink counters), even when the NIC clamp reduced it to a no-op;
   // the slot is only opened for a change worth an RPC.
+  const obs::EventKind kind = *decision > before ? obs::EventKind::kBwGrant
+                                                 : obs::EventKind::kBwShrink;
+  if (std::abs(target - before) <= limit_epsilon(Resource::kBw)) {
+    trace(kind, sample.container, before, target, 0, cause);
+    return;
+  }
   LoopCtx ctx;
+  ctx.cause = cause;
   ctx.fire = sim_.now();
   ctx.ingest = sim_.now();
   ctx.decide = sim_.now();
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = *decision > before ? obs::EventKind::kBwGrant
-                                 : obs::EventKind::kBwShrink;
-    ev.container = sample.container;
-    ev.node = node_tag(*rit);
-    ev.before = before;
-    ev.after = target;
-    ev.cause = cause;
-    ctx.cause = obs_->record(ev);
-  }
-  if (std::abs(target - before) > kBwRateEpsilon) {
-    push_limit(sample.container, {Resource::kBw, target}, ctx);
-  }
+  commit(sample.container, {Resource::kBw, target}, before, kind, ctx);
 }
 
 void Controller::on_cpu_stats(const CpuStatsMsg& stats) {
@@ -639,7 +565,6 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                                   sim::TimePoint fire_time) {
   if (crashed_) return;  // nobody home
   ++stats_received_;
-  const sim::TimePoint ingest = sim_.now();
   if (obs_ != nullptr) obs_->h.stats_ingested->inc();
 
   // Dead-node quarantine: decisions for a dead node's containers are
@@ -660,48 +585,52 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
       known ? allocator_.app().member_cores(stats.cgroup) : 0.0;
   const auto decision = allocator_.on_cpu_stats(stats);
   if (!decision.has_value()) return;
-
-  LoopCtx ctx;
-  ctx.fire = fire_time;
-  ctx.ingest = ingest;
-  ctx.decide = sim_.now();  // synchronous allocator: decide == ingest
-  ctx.profile = true;
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = ctx.decide;
-    ev.kind = *decision > before ? obs::EventKind::kCpuGrant
-                                 : obs::EventKind::kCpuShrink;
-    ev.container = stats.cgroup;
-    ev.node = rit != nullptr ? node_tag(*rit) : 0;
-    ev.before = before;
-    ev.after = *decision;
-    ev.cause = cause;
-    ctx.cause = obs_->record(ev);
-  }
-  push_limit(stats.cgroup, {Resource::kCpu, *decision}, ctx);
+  apply_cpu_decision(stats.cgroup, before, *decision, fire_time, cause);
 }
 
 void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
-                                    double cores, sim::TimePoint fire_time) {
+                                    double cores, sim::TimePoint fire_time,
+                                    obs::EventId cause) {
   if (crashed_) return;
   LoopCtx ctx;
+  ctx.cause = cause;
   ctx.fire = fire_time;
+  // The allocator decides synchronously: ingest == decide == now.
   ctx.ingest = sim_.now();
   ctx.decide = sim_.now();
   ctx.profile = true;
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = ctx.decide;
-    ev.kind = cores > before ? obs::EventKind::kCpuGrant
-                             : obs::EventKind::kCpuShrink;
-    ev.container = id;
+  commit(id, {Resource::kCpu, cores}, before,
+         cores > before ? obs::EventKind::kCpuGrant
+                        : obs::EventKind::kCpuShrink,
+         ctx);
+}
+
+obs::EventId Controller::commit(cluster::ContainerId id, Limit limit,
+                                double before, obs::EventKind kind,
+                                LoopCtx ctx, std::int64_t detail) {
+  ctx.cause = trace(kind, id, before, limit.value, detail, ctx.cause);
+  push_limit(id, limit, ctx);
+  return ctx.cause;
+}
+
+obs::EventId Controller::record_trace(obs::EventKind kind,
+                                      cluster::ContainerId id, double before,
+                                      double after, std::int64_t detail,
+                                      obs::EventId cause, std::uint32_t node) {
+  if (node == kRegistryNode) {
     const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = before;
-    ev.after = cores;
-    ctx.cause = obs_->record(ev);
+    node = entry != nullptr ? node_tag(*entry) : 0;
   }
-  push_limit(id, {Resource::kCpu, cores}, ctx);
+  obs::TraceEvent ev;
+  ev.time = sim_.now();
+  ev.kind = kind;
+  ev.container = id;
+  ev.node = node;
+  ev.before = before;
+  ev.after = after;
+  ev.cause = cause;
+  ev.detail = detail;
+  return obs_->record(ev);
 }
 
 void Controller::push_limit(cluster::ContainerId id, Limit limit,
@@ -726,23 +655,14 @@ void Controller::push_limit(cluster::ContainerId id, Limit limit,
   p.attempts = 0;
   p.backoff = config_.rpc_retry_timeout;
   p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    // Resource flag: 0 = CPU, 1 = memory, 2 = bandwidth.
-    ev.before = static_cast<double>(limit.resource);
-    ev.after = limit.value;
-    ev.cause = ctx.cause;
-    // Logical (unbatched-equivalent) RPC size; the batched wire accounting
-    // lands in the net.* counters and controller.batched_*.
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.rpcs_issued->inc();
+  // `before` is the resource flag (0 = CPU, 1 = memory, 2 = bandwidth);
+  // `detail` the logical (unbatched-equivalent) RPC size — the batched
+  // wire accounting lands in the net.* counters and controller.batched_*.
+  p.rpc_event = trace(obs::EventKind::kRpcIssued, id,
+                      static_cast<double>(limit.resource), limit.value,
+                      static_cast<std::int64_t>(kLimitUpdateRpcBytes),
+                      ctx.cause, node_tag(entry));
   {
     ReplicationEvent rev;
     rev.kind = ReplicationEvent::Kind::kSlot;
@@ -752,7 +672,7 @@ void Controller::push_limit(cluster::ContainerId id, Limit limit,
     rev.limit = limit;
     emit_repl(rev);
   }
-  dispatch_update(update_key(id, limit.resource), entry.agent->node().id());
+  dispatch_update(slot_key(id, limit.resource), entry.agent->node().id());
 }
 
 void Controller::dispatch_update(std::uint64_t key, cluster::NodeId node) {
@@ -800,7 +720,7 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   for (const std::uint64_t key : keys) {
     Pending* p = find_pending(key);
     if (p == nullptr) continue;  // acked or canceled before the flush
-    Entry* entry = find_entry(static_cast<cluster::ContainerId>(key >> 2));
+    Entry* entry = find_entry(slot_key_container(key));
     if (entry->agent == nullptr) {
       p->queued = false;
       continue;
@@ -816,7 +736,7 @@ void Controller::flush_node_batch(cluster::NodeId node) {
     agent = entry->agent;
     WireEntry w;
     w.key = key;
-    w.id = static_cast<cluster::ContainerId>(key >> 2);
+    w.id = slot_key_container(key);
     w.seq = p->seq;
     w.limit = p->limit;
     w.rpc_event = p->rpc_event;
@@ -863,20 +783,14 @@ void Controller::flush_node_batch(cluster::NodeId node) {
           if (result == Agent::Apply::kApplied && obs_ != nullptr) {
             const sim::TimePoint apply = sim_.now();
             obs_->h.rpcs_applied->inc();
-            obs::TraceEvent ev;
-            ev.time = apply;
-            ev.kind = obs::EventKind::kRpcApplied;
-            ev.container = w.id;
-            ev.node = w.node_tag;
-            ev.before = static_cast<double>(w.limit.resource);
-            ev.after = w.limit.value;
-            ev.cause = w.rpc_event;  // the original issue, across retransmits
-            // The applied sequence (epoch in the high 16 bits): the
+            // Caused by the original issue, across retransmits. `detail` is
+            // the applied sequence (epoch in the high 16 bits): the
             // invariant checker derives the no-split-brain rule — per-
             // (container, resource) applied sequences strictly increase —
             // from this.
-            ev.detail = static_cast<std::int64_t>(w.seq);
-            obs_->record(ev);
+            trace(obs::EventKind::kRpcApplied, w.id,
+                  static_cast<double>(w.limit.resource), w.limit.value,
+                  static_cast<std::int64_t>(w.seq), w.rpc_event, w.node_tag);
             if (w.ctx.profile) {
               obs_->profiler().record_loop(w.ctx.fire, w.ctx.ingest,
                                            w.ctx.decide, apply);
@@ -913,15 +827,13 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
   {
     ReplicationEvent rev;
     rev.kind = ReplicationEvent::Kind::kAckSlot;
-    rev.container = static_cast<cluster::ContainerId>(key >> 2);
+    rev.container = slot_key_container(key);
     rev.node = node;
     rev.seq = seq;
     rev.limit.resource = p->limit.resource;
     emit_repl(rev);
   }
-  const std::uint32_t slot =
-      index_.find(static_cast<cluster::ContainerId>(key >> 2));
-  pending_open_[static_cast<std::size_t>(slot) * 3 + (key & 3)] = 0;
+  pending_open_[static_cast<std::size_t>(p - pending_.data())] = 0;
   --open_pending_;
 }
 
@@ -932,21 +844,10 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
   Pending& p = *pp;
   ++p.attempts;
   ++retransmits_;
-  const auto id = static_cast<cluster::ContainerId>(key >> 2);
-  if (obs_ != nullptr) {
-    obs_->h.retransmits->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRetransmit;
-    ev.container = id;
-    const Entry* rit = find_entry(id);
-    ev.node = rit != nullptr ? node_tag(*rit) : 0;
-    ev.before = static_cast<double>(p.limit.resource);
-    ev.after = p.limit.value;
-    ev.cause = p.rpc_event;
-    ev.detail = p.attempts;
-    obs_->record(ev);
-  }
+  const cluster::ContainerId id = slot_key_container(key);
+  if (obs_ != nullptr) obs_->h.retransmits->inc();
+  trace(obs::EventKind::kRetransmit, id, static_cast<double>(p.limit.resource),
+        p.limit.value, p.attempts, p.rpc_event);
   p.backoff = std::min<sim::Duration>(p.backoff * 2, config_.rpc_backoff_max);
   // Re-send the *newest* desired value: re-enqueue it, so several entries
   // timing out at the same instant for one node coalesce back into a single
@@ -992,15 +893,9 @@ void Controller::on_heartbeat(cluster::NodeId node,
   if (was_dead) {
     h.dead = false;
     sim_.cancel(h.reclaim_timer);  // quarantine lifted
-    if (obs_ != nullptr) {
-      obs_->h.nodes_alive->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kNodeAlive;
-      ev.node = node + 1;
-      ev.detail = static_cast<std::int64_t>(incarnation);
-      obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.nodes_alive->inc();
+    trace(obs::EventKind::kNodeAlive, 0, 0.0, 0.0,
+          static_cast<std::int64_t>(incarnation), 0, node + 1);
   }
   Agent* agent = agent_at(node);
   if (agent != nullptr) {
@@ -1034,16 +929,11 @@ void Controller::declare_dead(cluster::NodeId node, NodeHealth& health) {
     rev.node_dead = true;
     emit_repl(rev);
   }
-  if (obs_ != nullptr) {
-    obs_->h.nodes_dead->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kNodeDead;
-    ev.node = node + 1;
-    ev.detail = static_cast<std::int64_t>(
-        sim_.now() - health.last_heartbeat);  // silence at declaration, us
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.nodes_dead->inc();
+  // detail: silence at declaration, us.
+  trace(obs::EventKind::kNodeDead, 0, 0.0, 0.0,
+        static_cast<std::int64_t>(sim_.now() - health.last_heartbeat), 0,
+        node + 1);
   // Quarantine: the node's pool share is frozen (decisions suppressed) for
   // the grace period, then reclaimed for the live nodes.
   health.reclaim_timer = sim_.schedule_after(
@@ -1090,14 +980,13 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     double want_cores = 0.0;
     double want_bw = 0.0;
     bool push_bw = false;
-    obs::EventId resync_ev = 0;
     if (index_.contains(s.id)) {
       // Still registered (Agent restart without Controller loss): the
       // shadow limits are authoritative; reconcile the node toward them.
       want_cores = allocator_.app().member_cores(s.id);
       want_bw = allocator_.app().member_bw(s.id);
       push_bw = bw_shaper_ != nullptr &&
-                std::abs(want_bw - s.bw_bps) > kBwRateEpsilon;
+                std::abs(want_bw - s.bw_bps) > limit_epsilon(Resource::kBw);
       if (std::abs(want_cores - s.cpu_cores) <= eps && !push_bw) continue;
     } else {
       // Re-adoption (Controller restart, or a node back after its share
@@ -1115,18 +1004,11 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
       want_bw = allocator_.app().member_bw(s.id);
     }
     ++resyncs_;
-    if (obs_ != nullptr) {
-      obs_->h.resyncs->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kResync;
-      ev.container = s.id;
-      ev.node = node + 1;
-      ev.before = s.cpu_cores;  // applied (fail-static) limit at the node
-      ev.after = want_cores;    // controller-intended shadow limit
-      ev.detail = static_cast<std::int64_t>(s.mem_limit);
-      resync_ev = obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.resyncs->inc();
+    // From the applied (fail-static) limit at the node to the
+    // controller-intended shadow limit.
+    const obs::EventId resync_ev = trace(obs::EventKind::kResync, s.id, s.cpu_cores, want_cores,
+                      static_cast<std::int64_t>(s.mem_limit), 0, node + 1);
     // Corrective update where the node diverges from the intent. Memory
     // is left to the periodic reclamation loop (shrinking a memory limit
     // below live usage would manufacture OOMs).
@@ -1223,29 +1105,17 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   const bool saved =
       container.mem_cgroup().usage() + charge <= decision.new_limit;
   if (saved) ++oom_rescues_;
-  obs::EventId grant_ev = 0;
-  if (obs_ != nullptr) {
-    if (saved) obs_->h.oom_rescues->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kMemGrantOnOom;
-    ev.container = container.id();
-    ev.node = it != nullptr ? node_tag(*it) : 0;
-    ev.before = static_cast<double>(pre_grant_limit);
-    ev.after = static_cast<double>(decision.new_limit);
-    ev.detail = static_cast<std::int64_t>(eff_shortfall);
-    grant_ev = obs_->record(ev);
-  }
+  if (saved && obs_ != nullptr) obs_->h.oom_rescues->inc();
   // The synchronous write rescued the charge, but only an acked, sequence-
   // numbered desired-state slot survives a controller handoff: route the
   // grant through the slot machinery so an un-acked grant is replicated and
   // a new leader replays it. The slot carries the absolute limit, so the
   // Agent-side re-apply is idempotent — the memcg charge succeeds exactly
   // once, never doubled by the replay.
-  LoopCtx ctx;
-  ctx.cause = grant_ev;
-  push_limit(container.id(),
-             {Resource::kMem, static_cast<double>(decision.new_limit)}, ctx);
+  const obs::EventId grant_ev = commit(
+      container.id(), {Resource::kMem, static_cast<double>(decision.new_limit)},
+      static_cast<double>(pre_grant_limit), obs::EventKind::kMemGrantOnOom,
+      LoopCtx{}, static_cast<std::int64_t>(eff_shortfall));
 
   // Karma coupling for memory: an OOM grant that lifts the member above its
   // fair share of the global memory limit spends the same credit currency
@@ -1260,32 +1130,10 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
         decision.new_limit - std::max(pre_grant_limit, fair_mem);
     if (fair_mem > 0 && over > 0) {
       // Price: fraction of a fair memory share taken, in fair-share-seconds.
-      // Debt is floored at -credit_cap, same as the settle sweep.
-      const std::int64_t before_bal = credits_.balance_micro(container.id());
-      const std::int64_t floor_room =
-          before_bal + CreditLedger::to_micro(config_.credit_cap);
-      const std::int64_t price = std::min(
-          CreditLedger::to_micro(static_cast<double>(over) /
-                                 static_cast<double>(fair_mem)),
-          std::max<std::int64_t>(0, floor_room));
-      if (price > 0) {
-        credits_.burn(container.id(), price);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = container.id();
-          ev.node = it != nullptr ? node_tag(*it) : 0;
-          ev.before = CreditLedger::to_credits(before_bal);
-          ev.after =
-              CreditLedger::to_credits(credits_.balance_micro(container.id()));
-          ev.cause = grant_ev;
-          ev.detail = static_cast<std::int64_t>(over);
-          obs_->record(ev);
-        }
-        emit_credit(container.id(), /*removed=*/false);
-      }
+      charge_credits(container.id(),
+                     CreditLedger::to_micro(static_cast<double>(over) /
+                                            static_cast<double>(fair_mem)),
+                     static_cast<std::int64_t>(over), grant_ev);
     }
   }
   return saved;
@@ -1302,8 +1150,8 @@ std::vector<Controller::TakeoverContainer> Controller::registry_snapshot() {
     c.bw_bps = allocator_.app().member_bw(id);
     const auto rt = rt_.find(id);
     if (rt != rt_.end()) {
-      c.rt = rt->second.spec;
-      c.rt_bw_bps = rt->second.bw_bps;
+      c.rt = rt->second;
+      c.rt_bw_bps = allocator_.rt_floor(Resource::kBw, id);
     }
     out.push_back(c);
   });
@@ -1486,15 +1334,11 @@ void Controller::record_reclaims(Agent& agent,
   const std::uint32_t node = agent.node().id() + 1;
   memcg::Bytes freed = 0;
   for (const Agent::Resize& resize : resizes) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kReclaim;
-    ev.container = resize.container;
-    ev.node = node;
-    ev.before = static_cast<double>(resize.old_limit);
-    ev.after = static_cast<double>(resize.new_limit);
-    ev.detail = static_cast<std::int64_t>(resize.old_limit - resize.new_limit);
-    obs_->record(ev);
+    trace(obs::EventKind::kReclaim, resize.container,
+          static_cast<double>(resize.old_limit),
+          static_cast<double>(resize.new_limit),
+          static_cast<std::int64_t>(resize.old_limit - resize.new_limit), 0,
+          node);
     freed += resize.old_limit - resize.new_limit;
   }
   obs_->h.reclaim_bytes->inc(static_cast<std::uint64_t>(freed));
@@ -1577,18 +1421,12 @@ bool Controller::telemetry_plausible(const CpuStatsMsg& stats,
     if (used_cores > node_cores * (1.0 + 1e-9)) bad = true;
   }
   if (!bad) return true;
-  if (obs_ != nullptr) {
-    obs_->h.telemetry_rejected->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kTelemetryRejected;
-    ev.container = stats.cgroup;
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = 0.0;  // resource flag: 0 = CPU
-    ev.after = period > 0.0 ? static_cast<double>(stats.quota) / period : 0.0;
-    ev.detail = static_cast<std::int64_t>(stats.unused);
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.telemetry_rejected->inc();
+  trace(obs::EventKind::kTelemetryRejected, stats.cgroup,
+        static_cast<double>(Resource::kCpu),
+        period > 0.0 ? static_cast<double>(stats.quota) / period : 0.0,
+        static_cast<std::int64_t>(stats.unused), 0,
+        entry != nullptr ? node_tag(*entry) : 0);
   return false;
 }
 
@@ -1602,6 +1440,21 @@ void Controller::close_credit_account(cluster::ContainerId id) {
   if (!credits_.contains(id)) return;
   credits_.close(id);
   emit_credit(id, /*removed=*/true);
+}
+
+void Controller::charge_credits(cluster::ContainerId id, std::int64_t want,
+                                std::int64_t detail, obs::EventId cause) {
+  // Debt is floored at -credit_cap.
+  const std::int64_t before = credits_.balance_micro(id);
+  const std::int64_t charge = std::min(
+      want, std::max<std::int64_t>(
+                0, before + CreditLedger::to_micro(config_.credit_cap)));
+  if (charge <= 0) return;
+  credits_.burn(id, charge);
+  if (obs_ != nullptr) obs_->h.credit_charges->inc();
+  trace(obs::EventKind::kCreditCharge, id, CreditLedger::to_credits(before),
+        CreditLedger::to_credits(credits_.balance_micro(id)), detail, cause);
+  emit_credit(id, /*removed=*/false);
 }
 
 void Controller::emit_credit(cluster::ContainerId id, bool removed) {
@@ -1672,19 +1525,20 @@ double Controller::rt_capacity() const {
 }
 
 double Controller::rt_floor_of(cluster::ContainerId id) const {
-  const auto it = rt_.find(id);
-  return it != rt_.end() ? it->second.floor : 0.0;
+  return allocator_.rt_floor(Resource::kCpu, id);
 }
 
 double Controller::node_rt_reserved(cluster::NodeId node,
                                     cluster::ContainerId except) const {
   double sum = 0.0;
-  for (const auto& [id, info] : rt_) {
+  for (const auto& [id, spec] : rt_) {
     if (id == except) continue;
     const std::uint32_t slot = index_.find(id);
     if (slot == ContainerIndex::kInvalid) continue;
     const Entry& e = registry_[slot];
-    if (e.agent != nullptr && e.agent->node().id() == node) sum += info.floor;
+    if (e.agent != nullptr && e.agent->node().id() == node) {
+      sum += spec.floor_cores();
+    }
   }
   return sum;
 }
@@ -1692,13 +1546,13 @@ double Controller::node_rt_reserved(cluster::NodeId node,
 double Controller::node_rt_bw_reserved(cluster::NodeId node,
                                        cluster::ContainerId except) const {
   double sum = 0.0;
-  for (const auto& [id, info] : rt_) {
+  for (const auto& [id, spec] : rt_) {
     if (id == except) continue;
     const std::uint32_t slot = index_.find(id);
     if (slot == ContainerIndex::kInvalid) continue;
     const Entry& e = registry_[slot];
     if (e.agent != nullptr && e.agent->node().id() == node) {
-      sum += info.bw_bps;
+      sum += allocator_.rt_floor(Resource::kBw, id);
     }
   }
   return sum;
@@ -1707,17 +1561,8 @@ double Controller::node_rt_bw_reserved(cluster::NodeId node,
 void Controller::record_rt_rejected(cluster::ContainerId id, double floor,
                                     std::int64_t reason) {
   ++rt_rejections_;
-  if (obs_ == nullptr) return;
-  obs_->h.rt_rejected->inc();
-  obs::TraceEvent ev;
-  ev.time = sim_.now();
-  ev.kind = obs::EventKind::kRtRejected;
-  ev.container = id;
-  const Entry* entry = find_entry(id);
-  ev.node = entry != nullptr ? node_tag(*entry) : 0;
-  ev.after = floor;
-  ev.detail = reason;
-  obs_->record(ev);
+  if (obs_ != nullptr) obs_->h.rt_rejected->inc();
+  trace(obs::EventKind::kRtRejected, id, 0.0, floor, reason);
 }
 
 Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
@@ -1737,7 +1582,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // slack above it is what absorbs CFS quantization and best-effort floors.
   const double node_cores = entry->agent->node().config().cores;
   if (node_rt_reserved(node, id) + floor >
-      config_.rt_util_bound * node_cores + kCpuLimitEpsilon) {
+      config_.rt_util_bound * node_cores + limit_epsilon(Resource::kCpu)) {
     record_rt_rejected(id, floor, 0);
     return RtAdmit::kRejectedNode;
   }
@@ -1745,7 +1590,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // promise the pool must keep through faults, so it is only ever written
   // against capacity this controller owns outright.
   if (rt_reserved_cores_ + floor >
-      config_.rt_util_bound * rt_capacity() + kCpuLimitEpsilon) {
+      config_.rt_util_bound * rt_capacity() + limit_epsilon(Resource::kCpu)) {
     record_rt_rejected(id, floor, 1);
     return RtAdmit::kRejectedPool;
   }
@@ -1769,7 +1614,7 @@ void Controller::install_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
   Entry* entry = find_entry(id);
   if (entry == nullptr || entry->container == nullptr) return;
   const double floor = spec.floor_cores();
-  rt_[id] = RtInfo{spec, floor, bw_bps};
+  rt_[id] = spec;
   rt_reserved_cores_ += floor;
   allocator_.set_rt_floor(id, floor, bw_bps);
   cluster::Container& c = *entry->container;
@@ -1784,15 +1629,10 @@ void Controller::install_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
     obs_->h.rt_reserved_cores->set(rt_reserved_cores_);
     if (fresh) {
       obs_->h.rt_admitted->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kRtAdmitted;
-      ev.container = id;
-      ev.node = node_tag(*entry);
-      ev.after = floor;
-      ev.detail = (static_cast<std::int64_t>(spec.runtime) << 32) |
-                  static_cast<std::int64_t>(spec.period);
-      obs_->record(ev);
+      trace(obs::EventKind::kRtAdmitted, id, 0.0, floor,
+            (static_cast<std::int64_t>(spec.runtime) << 32) |
+                static_cast<std::int64_t>(spec.period),
+            0, node_tag(*entry));
     }
   }
   emit_rt(id, /*removed=*/false);
@@ -1805,18 +1645,8 @@ bool Controller::evict_rt(cluster::ContainerId id, int reason) {
   const auto it = rt_.find(id);
   if (it == rt_.end()) return false;
   ++rt_evictions_;
-  if (obs_ != nullptr) {
-    obs_->h.rt_evicted->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRtEvicted;
-    ev.container = id;
-    const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = it->second.floor;
-    ev.detail = reason;
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.rt_evicted->inc();
+  trace(obs::EventKind::kRtEvicted, id, it->second.floor_cores(), 0.0, reason);
   // A dead node's container keeps its periodic-job model fail-static (the
   // node is unreachable; resync re-derives the reservation if it returns);
   // every other eviction tears the node-side model down.
@@ -1827,7 +1657,8 @@ bool Controller::evict_rt(cluster::ContainerId id, int reason) {
 void Controller::remove_rt(cluster::ContainerId id, bool clear_node) {
   const auto it = rt_.find(id);
   if (it == rt_.end()) return;
-  rt_reserved_cores_ = std::max(0.0, rt_reserved_cores_ - it->second.floor);
+  rt_reserved_cores_ =
+      std::max(0.0, rt_reserved_cores_ - it->second.floor_cores());
   rt_.erase(it);
   allocator_.clear_rt_floor(id);
   Entry* entry = find_entry(id);
@@ -1846,11 +1677,11 @@ void Controller::emit_rt(cluster::ContainerId id, bool removed) {
   rev.container = id;
   const auto it = rt_.find(id);
   if (it != rt_.end()) {
-    rev.cores = it->second.floor;
-    rev.bw_bps = it->second.bw_bps;
-    rev.rt_runtime = it->second.spec.runtime;
-    rev.rt_deadline = it->second.spec.deadline;
-    rev.rt_period = it->second.spec.period;
+    rev.cores = it->second.floor_cores();
+    rev.bw_bps = allocator_.rt_floor(Resource::kBw, id);
+    rev.rt_runtime = it->second.runtime;
+    rev.rt_deadline = it->second.deadline;
+    rev.rt_period = it->second.period;
   }
   rev.rt_removed = removed;
   emit_repl(rev);
@@ -1859,7 +1690,7 @@ void Controller::emit_rt(cluster::ContainerId id, bool removed) {
 void Controller::raise_to_rt_floor(cluster::ContainerId id, double floor) {
   // The floor is a promise the deadline model depends on core-for-core, so
   // this path tolerates only numeric dust (kRtFloorSlack), never the RPC
-  // churn epsilon: a book left kCpuLimitEpsilon under the floor is a real
+  // churn epsilon: a book left a limit_epsilon under the floor is a real
   // core-time shortfall that surfaces as an allocator-caused deadline miss.
   const double cur = allocator_.app().member_cores(id);
   if (cur + kRtFloorSlack >= floor) return;
@@ -1868,20 +1699,9 @@ void Controller::raise_to_rt_floor(cluster::ContainerId id, double floor) {
   if (unalloc < need) shed_best_effort(need - unalloc);
   const double applied = allocator_.app().set_member_cores(id, floor);
   if (applied - cur <= kRtFloorSlack) return;
-  LoopCtx ctx;
-  if (obs_ != nullptr) {
-    obs_->h.cpu_grants->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kCpuGrant;
-    ev.container = id;
-    const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = cur;
-    ev.after = applied;
-    ctx.cause = obs_->record(ev);
-  }
-  push_limit(id, {Resource::kCpu, applied}, ctx);
+  if (obs_ != nullptr) obs_->h.cpu_grants->inc();
+  commit(id, {Resource::kCpu, applied}, cur, obs::EventKind::kCpuGrant,
+         LoopCtx{});
 }
 
 void Controller::shed_best_effort(double need) {
@@ -1906,29 +1726,17 @@ void Controller::shed_best_effort(double need) {
       if (entry == nullptr || entry->agent == nullptr) continue;
       if (node_dead(entry->agent->node().id())) continue;
       const double cur = allocator_.app().member_cores(id);
-      const double lower =
-          rt_pass ? std::max(config_.min_cores, rt_floor_of(id))
-                  : config_.min_cores;
-      const double target = std::max(lower, cur - need);
+      const double target =
+          std::max(allocator_.floor(Resource::kCpu, id), cur - need);
       // No churn guard here: a sub-epsilon residual is still owed to the
       // floor being raised, and skipping it strands the reservation just
       // under its promise (one extra shrink RPC per admission is cheap).
       if (cur - target <= kRtFloorSlack) continue;
       const double applied = allocator_.app().set_member_cores(id, target);
       need -= cur - applied;
-      LoopCtx ctx;
-      if (obs_ != nullptr) {
-        obs_->h.cpu_shrinks->inc();
-        obs::TraceEvent ev;
-        ev.time = sim_.now();
-        ev.kind = obs::EventKind::kCpuShrink;
-        ev.container = id;
-        ev.node = node_tag(*entry);
-        ev.before = cur;
-        ev.after = applied;
-        ctx.cause = obs_->record(ev);
-      }
-      push_limit(id, {Resource::kCpu, applied}, ctx);
+      if (obs_ != nullptr) obs_->h.cpu_shrinks->inc();
+      commit(id, {Resource::kCpu, applied}, cur, obs::EventKind::kCpuShrink,
+             LoopCtx{});
     }
   }
 }
@@ -1938,18 +1746,12 @@ void Controller::on_deadline_miss(cluster::Container& container,
   ++deadline_misses_;
   if (obs_ == nullptr) return;
   obs_->h.deadline_misses->inc();
-  obs::TraceEvent ev;
-  ev.time = sim_.now();
-  ev.kind = obs::EventKind::kDeadlineMiss;
-  ev.container = container.id();
-  const Entry* entry = find_entry(container.id());
-  ev.node = entry != nullptr ? node_tag(*entry) : 0;
-  ev.before = container.rt().floor_cores();
-  ev.after = allocator_.app().is_member(container.id())
-                 ? allocator_.app().member_cores(container.id())
-                 : container.cpu_cgroup().limit_cores();
-  ev.detail = static_cast<std::int64_t>(remaining);
-  obs_->record(ev);
+  trace(obs::EventKind::kDeadlineMiss, container.id(),
+        container.rt().floor_cores(),
+        allocator_.app().is_member(container.id())
+            ? allocator_.app().member_cores(container.id())
+            : container.cpu_cgroup().limit_cores(),
+        static_cast<std::int64_t>(remaining));
 }
 
 void Controller::settle_credits() {
@@ -2003,28 +1805,11 @@ void Controller::settle_credits() {
 
     if (cur > fair + tol) {
       // Above fair share: charge (cur-fair)/fair fair-share-seconds per
-      // second held, scaled by pool pressure; debt floored at -credit_cap.
-      const std::int64_t want =
-          CreditLedger::to_micro((cur - fair) / fair * pressure * period_s);
-      const std::int64_t charge = std::min(
-          want, std::max<std::int64_t>(0, before_bal + cap));
-      if (charge > 0) {
-        credits_.burn(id, charge);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = id;
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
-          ev.before = CreditLedger::to_credits(before_bal);
-          ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-          ev.detail = static_cast<std::int64_t>(
-              std::llround((cur - fair) * 1000.0));  // above-share millicores
-          obs_->record(ev);
-        }
-        emit_credit(id, /*removed=*/false);
-      }
+      // second held, scaled by pool pressure (detail: above-share
+      // millicores).
+      charge_credits(
+          id, CreditLedger::to_micro((cur - fair) / fair * pressure * period_s),
+          static_cast<std::int64_t>(std::llround((cur - fair) * 1000.0)));
       const std::int32_t streak = credits_.bump_streak(id);
       if (credits_.balance_micro(id) <= 0 &&
           streak >= config_.credit_decay_grace) {
@@ -2033,25 +1818,14 @@ void Controller::settle_credits() {
         // to what admission would have given it, never below. An admitted
         // RT floor outranks the decay: the reservation's priority was paid
         // at admission, not borrowed from this ledger.
-        const double target = std::max(
-            {config_.min_cores, allocator_.rt_floor(id), fair,
-             cur - config_.kappa * (cur - fair)});
-        if (cur - target > kCpuLimitEpsilon) {
+        const double target =
+            std::max({allocator_.floor(Resource::kCpu, id), fair,
+                      cur - config_.kappa * (cur - fair)});
+        if (cur - target > limit_epsilon(Resource::kCpu)) {
           const double applied = allocator_.app().set_member_cores(id, target);
-          LoopCtx ctx;
-          if (obs_ != nullptr) {
-            obs_->h.greedy_throttles->inc();
-            obs::TraceEvent ev;
-            ev.time = sim_.now();
-            ev.kind = obs::EventKind::kGreedyThrottle;
-            ev.container = id;
-            ev.node = entry != nullptr ? node_tag(*entry) : 0;
-            ev.before = cur;
-            ev.after = applied;
-            ev.detail = streak;
-            ctx.cause = obs_->record(ev);
-          }
-          push_limit(id, {Resource::kCpu, applied}, ctx);
+          if (obs_ != nullptr) obs_->h.greedy_throttles->inc();
+          commit(id, {Resource::kCpu, applied}, cur,
+                 obs::EventKind::kGreedyThrottle, LoopCtx{}, streak);
         }
       }
     } else {
@@ -2061,19 +1835,12 @@ void Controller::settle_credits() {
         const std::int64_t earned = credits_.mint(
             id, CreditLedger::to_micro((fair - cur) / fair * period_s), cap);
         if (earned > 0) {
-          if (obs_ != nullptr) {
-            obs_->h.credit_refunds->inc();
-            obs::TraceEvent ev;
-            ev.time = sim_.now();
-            ev.kind = obs::EventKind::kCreditRefund;
-            ev.container = id;
-            ev.node = entry != nullptr ? node_tag(*entry) : 0;
-            ev.before = CreditLedger::to_credits(before_bal);
-            ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-            ev.detail = static_cast<std::int64_t>(
-                std::llround((fair - cur) * 1000.0));  // below-share mcores
-            obs_->record(ev);
-          }
+          if (obs_ != nullptr) obs_->h.credit_refunds->inc();
+          // detail: below-share millicores.
+          trace(obs::EventKind::kCreditRefund, id,
+                CreditLedger::to_credits(before_bal),
+                CreditLedger::to_credits(credits_.balance_micro(id)),
+                static_cast<std::int64_t>(std::llround((fair - cur) * 1000.0)));
           emit_credit(id, /*removed=*/false);
         }
       }
@@ -2087,28 +1854,11 @@ void Controller::settle_credits() {
         static_cast<double>(allocator_.app().member_mem(id));
     if (fair_mem > 0.0 &&
         cur_mem > fair_mem * (1.0 + config_.credit_tolerance)) {
-      const std::int64_t bal = credits_.balance_micro(id);
-      const std::int64_t want = CreditLedger::to_micro(
-          (cur_mem - fair_mem) / fair_mem * mem_pressure * period_s);
-      const std::int64_t rent =
-          std::min(want, std::max<std::int64_t>(0, bal + cap));
-      if (rent > 0) {
-        credits_.burn(id, rent);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = id;
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
-          ev.before = CreditLedger::to_credits(bal);
-          ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-          ev.detail =
-              static_cast<std::int64_t>(cur_mem - fair_mem);  // bytes over
-          obs_->record(ev);
-        }
-        emit_credit(id, /*removed=*/false);
-      }
+      // detail: bytes over the fair share.
+      charge_credits(id,
+                     CreditLedger::to_micro((cur_mem - fair_mem) / fair_mem *
+                                            mem_pressure * period_s),
+                     static_cast<std::int64_t>(cur_mem - fair_mem));
     }
   }
 }

@@ -223,7 +223,8 @@ class Controller {
   void set_bw_plan(double per_container_bps) { bw_plan_ = per_container_bps; }
 
   // Bandwidth telemetry ingress (normally invoked via the network by the
-  // shaper sampler wiring in enable_bandwidth).
+  // shaper sampler wiring in enable_bandwidth): plausibility check, the
+  // allocator's bandwidth arm, the node-NIC clamp, then the decision.
   void on_bw_stats(const bw::BwSample& sample);
 
   // --- telemetry & events (normally invoked via the network) ---
@@ -233,10 +234,12 @@ class Controller {
   // worker thread — shard state is disjoint — then applies the merged
   // decision stream serially in shard order). Records the grant/shrink
   // event and opens the sequenced desired-state slot exactly as
-  // ingest_cpu_stats would after an inline decision. `before` is the shadow
-  // limit the allocator saw when it decided.
+  // ingest_cpu_stats does after an inline decision. `before` is the shadow
+  // limit the allocator saw when it decided; `cause` is the triggering
+  // trace event (0 = none).
   void apply_cpu_decision(cluster::ContainerId id, double before,
-                          double cores, sim::TimePoint fire_time);
+                          double cores, sim::TimePoint fire_time,
+                          obs::EventId cause = 0);
   // Pre-OOM request: returns true if the limit was raised enough for the
   // charge to succeed (the container survives). Fails (container dies by
   // the kernel's normal OOM path) when the Controller is crashed or
@@ -347,7 +350,7 @@ class Controller {
   // One desired-state slot per (container, resource): the newest intended
   // limit, its sequence number, and the retransmit timer. The *external*
   // identity of a slot — what the WAL, the replicas, and the checker see —
-  // stays `container id * 4 + resource`; internally the rows live in a
+  // stays slot_key(container id, resource); internally the rows live in a
   // dense vector indexed by `registry slot * 3 + resource` so the hot
   // push/ack/timeout path is a direct load. A superseding decision
   // overwrites the slot (the newest value wins); the ack for the newest
@@ -396,7 +399,26 @@ class Controller {
   // `limit.resource`: stamps a fresh sequence, traces kRpcIssued, replicates
   // the slot, and queues it on the node's batch.
   void push_limit(cluster::ContainerId id, Limit limit, LoopCtx ctx);
-  void ingest_bw_stats(const bw::BwSample& sample);
+  // Commits one limit decision: records its `kind` event (before ->
+  // limit.value, caused by ctx.cause), makes that event the update's cause,
+  // and pushes the limit. Returns the event id (0 when detached).
+  obs::EventId commit(cluster::ContainerId id, Limit limit, double before,
+                      obs::EventKind kind, LoopCtx ctx,
+                      std::int64_t detail = 0);
+  // Records one trace event stamped now; returns its id, or 0 with no
+  // observer attached (tested before anything is built). `node` defaults to
+  // the container's registry node tag.
+  static constexpr std::uint32_t kRegistryNode = 0xffffffffu;
+  obs::EventId trace(obs::EventKind kind, cluster::ContainerId id,
+                     double before, double after, std::int64_t detail = 0,
+                     obs::EventId cause = 0,
+                     std::uint32_t node = kRegistryNode) {
+    if (obs_ == nullptr) return 0;
+    return record_trace(kind, id, before, after, detail, cause, node);
+  }
+  obs::EventId record_trace(obs::EventKind kind, cluster::ContainerId id,
+                            double before, double after, std::int64_t detail,
+                            obs::EventId cause, std::uint32_t node);
   // NIC headroom left on a node for one container's rate: nic_bps minus
   // every *other* attached container's rate, counting for each the larger
   // of the applied shaper rate and the book's shadow rate (so in-flight
@@ -416,6 +438,11 @@ class Controller {
   void settle_credits();
   void open_credit_account(cluster::ContainerId id);
   void close_credit_account(cluster::ContainerId id);
+  // Burns up to `want` micro-credits, never past the -credit_cap debt
+  // floor; traces kCreditCharge (`detail`, `cause`) and replicates the
+  // account when anything was burned.
+  void charge_credits(cluster::ContainerId id, std::int64_t want,
+                      std::int64_t detail, obs::EventId cause = 0);
   void emit_credit(cluster::ContainerId id, bool removed);
   // RT admission internals. install_rt commits an already-checked
   // reservation: books the floor into the allocator, arms the node-side
@@ -453,10 +480,6 @@ class Controller {
                        const std::vector<Agent::Resize>& resizes);
 
   // --- reliability internals ---
-  static std::uint64_t update_key(cluster::ContainerId id, Resource r) {
-    return static_cast<std::uint64_t>(id) * 4 +
-           static_cast<std::uint64_t>(r);
-  }
   std::uint64_t next_seq() {
     // The per-epoch counter lives in the low 48 bits. Rolling it over into
     // the epoch field would make a later update compare *lower* than an
@@ -483,10 +506,11 @@ class Controller {
   }
   // Open desired-state slot for an external key, or nullptr.
   Pending* find_pending(std::uint64_t key) {
-    const std::uint32_t slot =
-        index_.find(static_cast<cluster::ContainerId>(key >> 2));
+    const std::uint32_t slot = index_.find(slot_key_container(key));
     if (slot == ContainerIndex::kInvalid) return nullptr;
-    const std::size_t idx = static_cast<std::size_t>(slot) * 3 + (key & 3);
+    const std::size_t idx =
+        static_cast<std::size_t>(slot) * 3 +
+        static_cast<std::size_t>(slot_key_resource(key));
     return pending_open_[idx] != 0 ? &pending_[idx] : nullptr;
   }
   // Queues an opened slot on the node's coalescing batch.
@@ -500,6 +524,13 @@ class Controller {
   void declare_dead(cluster::NodeId node, NodeHealth& health);
   void reclaim_dead_node(cluster::NodeId node);
   void deregister_quarantined(cluster::ContainerId id);
+  // The body both deregistrations share: revokes an RT reservation
+  // (kRtEvicted with `rt_reason`), traces the kill, closes the slots and the
+  // credit account, and returns the pool share. A non-null `container` is
+  // also torn down node-side (Agent, shaper lane, kernel hooks); quarantine
+  // leaves the unreachable node fail-static.
+  void release(cluster::ContainerId id, int rt_reason,
+               cluster::Container* container);
   void resync_node(cluster::NodeId node, Agent& agent);
   void apply_resync(cluster::NodeId node, Agent& agent,
                     const std::vector<Agent::SnapshotEntry>& snapshot);
@@ -515,8 +546,7 @@ class Controller {
   // Registered containers interned to dense slots; the hot per-container
   // state (registry entry, three desired-state slot rows) is slot-indexed
   // struct-of-arrays. External identities (WAL, replication, trace events,
-  // id*4+resource slot keys) keep the ContainerId — slots never leave the
-  // process.
+  // slot_key()s) keep the ContainerId — slots never leave the process.
   ContainerIndex index_;
   std::vector<Entry> registry_;
   // Pod creations that arrived while the seat was vacant (Controller
@@ -553,15 +583,11 @@ class Controller {
   bw::ClusterShaper* bw_shaper_ = nullptr;
   double bw_plan_ = 0.0;  // registration-time grant; 0 = late-join default
 
-  // Admitted RT reservations. An ordered map: admission sweeps and
+  // Admitted RT reservations' specs. An ordered map: admission sweeps and
   // per-node reservation sums iterate it, and decision order must be
-  // deterministic across identical-seed runs.
-  struct RtInfo {
-    cfs::RtSpec spec;
-    double floor = 0.0;   // spec.floor_cores() at admission
-    double bw_bps = 0.0;  // bandwidth reservation; 0 = none
-  };
-  std::map<cluster::ContainerId, RtInfo> rt_;
+  // deterministic across identical-seed runs. The floors themselves live
+  // in the allocator's slot rows.
+  std::map<cluster::ContainerId, cfs::RtSpec> rt_;
   double rt_reserved_cores_ = 0.0;
   double rt_capacity_ = 0.0;  // 0 = track the live pool limit
   std::uint64_t rt_admissions_ = 0;

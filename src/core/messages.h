@@ -18,13 +18,34 @@
 namespace escra::core {
 
 // The resource a limit-update slot targets. Slot keys, WAL records, and the
-// checker all pack this into the low bits of `container_id * 4 + resource`,
-// so the numeric values are part of the on-disk/replication format.
+// checker all pack this into the low bits of slot_key() below, so the
+// numeric values are part of the on-disk/replication format.
 enum class Resource : std::uint8_t {
   kCpu = 0,
   kMem = 1,
   kBw = 2,
 };
+
+// The external identity of one (container, resource) desired-state slot:
+// `container_id * 4 + resource`. It never depends on a process-local index,
+// so the WAL, the replicas and the checker agree on it across leaders.
+constexpr std::uint64_t slot_key(std::uint32_t container, Resource r) {
+  return static_cast<std::uint64_t>(container) * 4 +
+         static_cast<std::uint64_t>(r);
+}
+constexpr std::uint32_t slot_key_container(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key >> 2);
+}
+constexpr Resource slot_key_resource(std::uint64_t key) {
+  return static_cast<Resource>(key & 3);
+}
+
+// Smallest limit change worth a limit-update RPC, in the resource's unit:
+// a millicore of CPU, 8 KB/s of bandwidth. Memory limits move in whole
+// pages and have none.
+constexpr double limit_epsilon(Resource r) {
+  return r == Resource::kCpu ? 1e-3 : r == Resource::kBw ? 8e3 : 0.0;
+}
 
 // One limit update, from allocator decision to cgroup write: the resource it
 // targets and the new limit in that resource's unit (cores, bytes, bytes/s).

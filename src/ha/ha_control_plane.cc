@@ -42,7 +42,7 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
         c.cores, c.mem, node != nullptr ? node->id() : 0, c.bw_bps};
   }
   for (const auto& s : controller.pending_slots()) {
-    book_.slots[ReplicaState::slot_key(s.id, s.limit.resource)] =
+    book_.slots[core::slot_key(s.id, s.limit.resource)] =
         ReplicaState::SlotState{s.seq, s.limit};
   }
 

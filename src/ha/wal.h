@@ -95,11 +95,12 @@ struct ReplicaState {
   };
 
   // std::map: deterministic iteration order for takeover replay. Slot keys
-  // are the *external* identity container_id*4 + resource — deliberately
+  // are the *external* identity core::slot_key(container, resource) —
+  // deliberately
   // independent of any leader's process-local ContainerIndex slot numbers,
   // so a standby's replayed state matches regardless of interning order.
   std::map<cluster::ContainerId, ContainerState> containers;
-  std::map<std::uint64_t, SlotState> slots;  // key = container*4 + resource
+  std::map<std::uint64_t, SlotState> slots;  // key = core::slot_key()
   std::map<cluster::NodeId, NodeState> nodes;
   // Credit-ledger image (Karma defense): balances plus the mint/burn
   // totals carried on every kCredit record. Balances for closed accounts
@@ -112,11 +113,6 @@ struct ReplicaState {
   // rt_removed record or by the container's kDeregister).
   std::map<cluster::ContainerId, RtState> rt;
   std::uint64_t epoch = 0;
-
-  static std::uint64_t slot_key(cluster::ContainerId id, core::Resource r) {
-    return static_cast<std::uint64_t>(id) * 4 +
-           static_cast<std::uint64_t>(r);
-  }
 
   void apply(const WalRecord& r) {
     if (r.epoch_start) {
@@ -141,13 +137,13 @@ struct ReplicaState {
         break;
       case Kind::kDeregister:
         containers.erase(e.container);
-        slots.erase(slot_key(e.container, core::Resource::kCpu));
-        slots.erase(slot_key(e.container, core::Resource::kMem));
-        slots.erase(slot_key(e.container, core::Resource::kBw));
+        slots.erase(core::slot_key(e.container, core::Resource::kCpu));
+        slots.erase(core::slot_key(e.container, core::Resource::kMem));
+        slots.erase(core::slot_key(e.container, core::Resource::kBw));
         rt.erase(e.container);
         break;
       case Kind::kSlot: {
-        slots[slot_key(e.container, e.limit.resource)] =
+        slots[core::slot_key(e.container, e.limit.resource)] =
             SlotState{e.seq, e.limit};
         const auto it = containers.find(e.container);
         if (it == containers.end()) break;
@@ -166,7 +162,8 @@ struct ReplicaState {
         break;
       }
       case Kind::kAckSlot: {
-        const auto it = slots.find(slot_key(e.container, e.limit.resource));
+        const auto it =
+            slots.find(core::slot_key(e.container, e.limit.resource));
         // A newer (superseding) slot under the same key stays open: only
         // the ack for the newest sequence closes it.
         if (it != slots.end() && it->second.seq == e.seq) slots.erase(it);

@@ -172,11 +172,11 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
   EXPECT_DOUBLE_EQ(shadow.bw_bps, 2e6);
 
   const std::uint64_t cpu_key =
-      ha::ReplicaState::slot_key(kId, core::Resource::kCpu);
+      core::slot_key(kId, core::Resource::kCpu);
   const std::uint64_t mem_key =
-      ha::ReplicaState::slot_key(kId, core::Resource::kMem);
+      core::slot_key(kId, core::Resource::kMem);
   const std::uint64_t bw_key =
-      ha::ReplicaState::slot_key(kId, core::Resource::kBw);
+      core::slot_key(kId, core::Resource::kBw);
   EXPECT_NE(cpu_key, mem_key);
   EXPECT_NE(cpu_key, bw_key);
   EXPECT_NE(mem_key, bw_key);
