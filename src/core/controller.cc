@@ -161,16 +161,12 @@ void Controller::register_impl(cluster::Container& container,
     }
     admit_bw(container, node, bw_want, mode);
   }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kRegister;
-    rev.container = container.id();
-    rev.node = node.id();
-    rev.cores = cores;
-    rev.mem = mem;
-    rev.bw_bps = allocator_.app().member_bw(container.id());
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kRegister,
+             .container = container.id(),
+             .node = node.id(),
+             .cores = cores,
+             .mem = mem,
+             .bw_bps = allocator_.app().member_bw(container.id())});
 
   if (mode == RegisterMode::kBootstrap) {
     // Registration message on the container's new kernel socket.
@@ -291,12 +287,7 @@ void Controller::release(cluster::ContainerId id, int rt_reason,
   }
   cancel_pending_for(id);
   close_credit_account(id);
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kDeregister;
-    rev.container = id;
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kDeregister, .container = id});
   if (container != nullptr) {
     entry->agent->unmanage(id);
     // The container is gone: tear down its shaper lane (queued messages
@@ -480,8 +471,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
   } else if (std::abs(applied - committed) > limit_epsilon(Resource::kBw)) {
     // Recovery: the shaper keeps the node's fail-static truth; the
     // correction travels as a normal sequenced update.
-    LoopCtx ctx;
-    push_limit(id, {Resource::kBw, committed}, ctx);
+    push_limit(id, {Resource::kBw, committed}, LoopCtx{});
   }
 }
 
@@ -547,12 +537,9 @@ void Controller::on_bw_stats(const bw::BwSample& sample) {
     trace(kind, sample.container, before, target, 0, cause);
     return;
   }
-  LoopCtx ctx;
-  ctx.cause = cause;
-  ctx.fire = sim_.now();
-  ctx.ingest = sim_.now();
-  ctx.decide = sim_.now();
-  commit(sample.container, {Resource::kBw, target}, before, kind, ctx);
+  const sim::TimePoint now = sim_.now();
+  commit(sample.container, {Resource::kBw, target}, before, kind,
+         LoopCtx{.cause = cause, .fire = now, .ingest = now, .decide = now});
 }
 
 void Controller::on_cpu_stats(const CpuStatsMsg& stats) {
@@ -592,17 +579,16 @@ void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
                                     double cores, sim::TimePoint fire_time,
                                     obs::EventId cause) {
   if (crashed_) return;
-  LoopCtx ctx;
-  ctx.cause = cause;
-  ctx.fire = fire_time;
   // The allocator decides synchronously: ingest == decide == now.
-  ctx.ingest = sim_.now();
-  ctx.decide = sim_.now();
-  ctx.profile = true;
+  const sim::TimePoint now = sim_.now();
   commit(id, {Resource::kCpu, cores}, before,
          cores > before ? obs::EventKind::kCpuGrant
                         : obs::EventKind::kCpuShrink,
-         ctx);
+         LoopCtx{.cause = cause,
+                 .fire = fire_time,
+                 .ingest = now,
+                 .decide = now,
+                 .profile = true});
 }
 
 obs::EventId Controller::commit(cluster::ContainerId id, Limit limit,
@@ -663,15 +649,11 @@ void Controller::push_limit(cluster::ContainerId id, Limit limit,
                       static_cast<double>(limit.resource), limit.value,
                       static_cast<std::int64_t>(kLimitUpdateRpcBytes),
                       ctx.cause, node_tag(entry));
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.limit = limit;
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kSlot,
+             .container = id,
+             .node = entry.agent->node().id(),
+             .seq = p.seq,
+             .limit = limit});
   dispatch_update(slot_key(id, limit.resource), entry.agent->node().id());
 }
 
@@ -824,15 +806,11 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
   Pending* p = find_pending(key);
   if (p == nullptr || p->seq != seq) return;  // superseded
   sim_.cancel(p->timer);
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kAckSlot;
-    rev.container = slot_key_container(key);
-    rev.node = node;
-    rev.seq = seq;
-    rev.limit.resource = p->limit.resource;
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kAckSlot,
+             .container = slot_key_container(key),
+             .node = node,
+             .seq = seq,
+             .limit = Limit{.resource = p->limit.resource}});
   pending_open_[static_cast<std::size_t>(p - pending_.data())] = 0;
   --open_pending_;
 }
@@ -883,12 +861,7 @@ void Controller::on_heartbeat(cluster::NodeId node,
   // Liveness *transitions* (not every heartbeat) replicate to the standbys:
   // the incarnation map and dead/alive state are part of the takeover image.
   if (first_contact || was_dead || agent_restarted) {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = node;
-    rev.agent_incarnation = incarnation;
-    rev.node_dead = false;
-    emit_repl(rev);
+    emit_node_health(node, incarnation, /*dead=*/false);
   }
   if (was_dead) {
     h.dead = false;
@@ -909,6 +882,14 @@ void Controller::on_heartbeat(cluster::NodeId node,
   }
 }
 
+void Controller::emit_node_health(cluster::NodeId node,
+                                  std::uint64_t incarnation, bool dead) {
+  emit_repl({.kind = ReplicationEvent::Kind::kNodeHealth,
+             .node = node,
+             .agent_incarnation = incarnation,
+             .node_dead = dead});
+}
+
 void Controller::run_liveness_check() {
   if (crashed_) return;
   for (auto& [node, h] : health_) {
@@ -921,14 +902,7 @@ void Controller::run_liveness_check() {
 
 void Controller::declare_dead(cluster::NodeId node, NodeHealth& health) {
   health.dead = true;
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = node;
-    rev.agent_incarnation = health.agent_incarnation;
-    rev.node_dead = true;
-    emit_repl(rev);
-  }
+  emit_node_health(node, health.agent_incarnation, /*dead=*/true);
   if (obs_ != nullptr) obs_->h.nodes_dead->inc();
   // detail: silence at declaration, us.
   trace(obs::EventKind::kNodeDead, 0, 0.0, 0.0,
@@ -1013,14 +987,11 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     // is left to the periodic reclamation loop (shrinking a memory limit
     // below live usage would manufacture OOMs).
     if (std::abs(want_cores - s.cpu_cores) > eps) {
-      LoopCtx ctx;
-      ctx.cause = resync_ev;
-      push_limit(s.id, {Resource::kCpu, want_cores}, ctx);
+      push_limit(s.id, {Resource::kCpu, want_cores},
+                 LoopCtx{.cause = resync_ev});
     }
     if (push_bw) {
-      LoopCtx ctx;
-      ctx.cause = resync_ev;
-      push_limit(s.id, {Resource::kBw, want_bw}, ctx);
+      push_limit(s.id, {Resource::kBw, want_bw}, LoopCtx{.cause = resync_ev});
     }
   }
 }
@@ -1237,12 +1208,7 @@ void Controller::takeover(std::uint64_t epoch,
       h.reclaim_timer = sim_.schedule_after(
           config_.quarantine_grace, [this, node] { reclaim_dead_node(node); });
     }
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = n.node;
-    rev.agent_incarnation = n.agent_incarnation;
-    rev.node_dead = n.dead;
-    emit_repl(rev);
+    emit_node_health(n.node, n.agent_incarnation, n.dead);
   }
 
   // Rebuild the registry and pool book from the replicated shadow limits.
@@ -1267,9 +1233,7 @@ void Controller::takeover(std::uint64_t epoch,
     if (!index_.contains(s.id)) continue;
     if (s.limit.resource == Resource::kCpu) cpu_slotted.push_back(s.id);
     if (s.limit.resource == Resource::kBw) bw_slotted.push_back(s.id);
-    LoopCtx ctx;
-    ctx.cause = cause;
-    push_limit(s.id, s.limit, ctx);
+    push_limit(s.id, s.limit, LoopCtx{.cause = cause});
   }
 
   // A node's applied limit may sit above the book this seat just rebuilt:
@@ -1288,9 +1252,8 @@ void Controller::takeover(std::uint64_t epoch,
   std::sort(registered_ids.begin(), registered_ids.end());
   for (const cluster::ContainerId id : registered_ids) {
     if (!std::binary_search(cpu_slotted.begin(), cpu_slotted.end(), id)) {
-      LoopCtx ctx;
-      ctx.cause = cause;
-      push_limit(id, {Resource::kCpu, allocator_.app().member_cores(id)}, ctx);
+      push_limit(id, {Resource::kCpu, allocator_.app().member_cores(id)},
+                 LoopCtx{.cause = cause});
     }
     // Same convergence sweep for bandwidth: a bandwidth slot lost in the
     // WAL tail would otherwise leave the node's applied rate divergent
@@ -1303,9 +1266,7 @@ void Controller::takeover(std::uint64_t epoch,
           bw_shaper_->node_of(id) != bw::ClusterShaper::kNoNode;
       const double applied = attached ? bw_shaper_->container_rate(id) : 0.0;
       if (book > 0.0 || applied > 0.0) {
-        LoopCtx ctx;
-        ctx.cause = cause;
-        push_limit(id, {Resource::kBw, book}, ctx);
+        push_limit(id, {Resource::kBw, book}, LoopCtx{.cause = cause});
       }
     }
   }
@@ -1328,12 +1289,19 @@ void Controller::drain_deferred_registrations() {
   }
 }
 
-void Controller::record_reclaims(Agent& agent,
-                                 const std::vector<Agent::Resize>& resizes) {
+void Controller::apply_reclaims(Agent& agent,
+                                const Agent::ReclaimResult& result) {
+  for (const Agent::Resize& resize : result.resizes) {
+    allocator_.on_reclaimed(resize.container, resize.new_limit);
+    emit_repl({.kind = ReplicationEvent::Kind::kMemShadow,
+               .container = resize.container,
+               .mem = resize.new_limit});
+  }
+  total_reclaimed_ += result.psi;
   if (obs_ == nullptr) return;
   const std::uint32_t node = agent.node().id() + 1;
   memcg::Bytes freed = 0;
-  for (const Agent::Resize& resize : resizes) {
+  for (const Agent::Resize& resize : result.resizes) {
     trace(obs::EventKind::kReclaim, resize.container,
           static_cast<double>(resize.old_limit),
           static_cast<double>(resize.new_limit),
@@ -1358,18 +1326,9 @@ memcg::Bytes Controller::run_emergency_reclaim() {
         agent->reclaim(config_.delta, config_.min_mem);
     net_.send_to(net::Channel::kControlRpc, ep(agent->node().id()),
                  net::kControllerEndpoint, kReclaimRespBytes, [] {});
-    for (const Agent::Resize& resize : result.resizes) {
-      allocator_.on_reclaimed(resize.container, resize.new_limit);
-      ReplicationEvent rev;
-      rev.kind = ReplicationEvent::Kind::kMemShadow;
-      rev.container = resize.container;
-      rev.mem = resize.new_limit;
-      emit_repl(rev);
-    }
-    record_reclaims(*agent, result.resizes);
+    apply_reclaims(*agent, result);
     psi += result.psi;
   }
-  total_reclaimed_ += psi;
   return psi;
 }
 
@@ -1393,16 +1352,7 @@ void Controller::run_periodic_reclaim() {
         },
         [this, agent, result] {
           if (crashed_) return;
-          for (const Agent::Resize& resize : result->resizes) {
-            allocator_.on_reclaimed(resize.container, resize.new_limit);
-            ReplicationEvent rev;
-            rev.kind = ReplicationEvent::Kind::kMemShadow;
-            rev.container = resize.container;
-            rev.mem = resize.new_limit;
-            emit_repl(rev);
-          }
-          record_reclaims(*agent, result->resizes);
-          total_reclaimed_ += result->psi;
+          apply_reclaims(*agent, *result);
         });
   }
 }

@@ -101,7 +101,7 @@ class Controller {
     cluster::NodeId node = 0;
     std::uint64_t seq = 0;  // slot sequence number (kSlot/kAckSlot)
     // The slot's limit (kSlot); kAckSlot carries only its resource.
-    Limit limit;
+    Limit limit{};
     double cores = 0.0;                   // kRegister / kRt
     memcg::Bytes mem = 0;                 // kRegister / kMemShadow
     double bw_bps = 0.0;                  // kRegister / kRt
@@ -476,8 +476,9 @@ class Controller {
   // Rejects physically-impossible telemetry (trace kTelemetryRejected).
   bool telemetry_plausible(const CpuStatsMsg& stats, const Entry* entry);
   std::uint32_t node_tag(const Entry& entry) const;
-  void record_reclaims(Agent& agent,
-                       const std::vector<Agent::Resize>& resizes);
+  // Syncs the book to an Agent's reclamation pass: shadow limits (each
+  // replicated as kMemShadow), the ψ total, and the kReclaim trace.
+  void apply_reclaims(Agent& agent, const Agent::ReclaimResult& result);
 
   // --- reliability internals ---
   std::uint64_t next_seq() {
@@ -522,6 +523,8 @@ class Controller {
   void cancel_pending_for(cluster::ContainerId id);
   void run_liveness_check();
   void declare_dead(cluster::NodeId node, NodeHealth& health);
+  void emit_node_health(cluster::NodeId node, std::uint64_t incarnation,
+                        bool dead);
   void reclaim_dead_node(cluster::NodeId node);
   void deregister_quarantined(cluster::ContainerId id);
   // The body both deregistrations share: revokes an RT reservation
