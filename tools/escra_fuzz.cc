@@ -454,35 +454,73 @@ std::string to_json(const Scenario& s) {
 
 // --- scenario execution --------------------------------------------------
 
+// The recurring load generators below are functors that re-schedule a copy
+// of themselves: each pending event owns its tick outright, so nothing
+// outlives the simulation that runs it.
+
+// An exponential gap, in us, at `rate_per_s` events per second.
+sim::Duration exponential_gap(sim::Rng& rng, double rate_per_s) {
+  return std::max<sim::Duration>(
+      1, static_cast<sim::Duration>(1e6 / rate_per_s * rng.exponential(1.0)));
+}
+
 // Steady stream: exponential inter-arrivals. Bursty: the same mean load
 // delivered as batches of 10-50 items at exponential batch intervals.
-void schedule_arrivals(sim::Simulation& sim, cluster::Container& container,
-                       const ContainerPlan& plan,
-                       std::shared_ptr<sim::Rng> rng, sim::TimePoint end) {
-  const double batch_mean = plan.bursty ? 25.0 : 1.0;
-  const double batch_rate = plan.rate_per_s / batch_mean;  // batches per s
-  const double mu = std::log(plan.cpu_cost_ms);
-  const auto next_gap = [rng, batch_rate] {
-    return std::max<sim::Duration>(
-        1, static_cast<sim::Duration>(1e6 / batch_rate *
-                                      rng->exponential(1.0)));
-  };
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, &container, plan, rng, end, mu, next_gap, tick] {
-    if (sim.now() > end) return;
+struct ArrivalTick {
+  sim::Simulation* sim;
+  cluster::Container* container;
+  ContainerPlan plan;
+  std::shared_ptr<sim::Rng> rng;
+  sim::TimePoint end;
+  double mu;          // log of the median per-item cost
+  double batch_rate;  // batches per s
+
+  void operator()() const {
+    if (sim->now() > end) return;
     const std::int64_t batch =
         plan.bursty ? rng->uniform_int(10, 50) : 1;
     for (std::int64_t i = 0; i < batch; ++i) {
       const double cost_ms = rng->lognormal(mu, plan.cpu_cost_sigma);
-      container.submit(
+      container->submit(
           std::max<sim::Duration>(
               1, static_cast<sim::Duration>(cost_ms * 1000.0)),
           plan.mem_per_item, [](bool) {});
     }
-    sim.schedule_after(next_gap(), *tick);
-  };
-  sim.schedule_after(next_gap(), *tick);
+    sim->schedule_after(exponential_gap(*rng, batch_rate), *this);
+  }
+};
+
+void schedule_arrivals(sim::Simulation& sim, cluster::Container& container,
+                       const ContainerPlan& plan,
+                       std::shared_ptr<sim::Rng> rng, sim::TimePoint end) {
+  const double batch_mean = plan.bursty ? 25.0 : 1.0;
+  const ArrivalTick tick{&sim, &container, plan, rng, end,
+                         std::log(plan.cpu_cost_ms),
+                         plan.rate_per_s / batch_mean};
+  sim.schedule_after(exponential_gap(*rng, tick.batch_rate), tick);
 }
+
+struct ResidentSpikeTick {
+  sim::Simulation* sim;
+  cluster::Container* container;
+  double spike_p;  // per-second chance of a residency spike
+  std::shared_ptr<sim::Rng> rng;
+  sim::TimePoint end;
+
+  void operator()() const {
+    if (sim->now() > end) return;
+    if (rng->chance(spike_p) && container->running()) {
+      // Load or drop a cache: grow residency, shrink it again later.
+      const memcg::Bytes spike = rng->uniform_int(8, 64) * memcg::kMiB;
+      container->adjust_resident(spike);
+      cluster::Container* c = container;
+      sim->schedule_after(sim::seconds(1), [c, spike] {
+        if (c->running()) c->adjust_resident(-spike);
+      });
+    }
+    sim->schedule_after(sim::kSecond, *this);
+  }
+};
 
 void schedule_resident_spikes(sim::Simulation& sim,
                               cluster::Container& container,
@@ -490,22 +528,9 @@ void schedule_resident_spikes(sim::Simulation& sim,
                               std::shared_ptr<sim::Rng> rng,
                               sim::TimePoint end) {
   if (plan.resident_spike_p <= 0.0) return;
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, &container, plan, rng, end, tick] {
-    if (sim.now() > end) return;
-    if (rng->chance(plan.resident_spike_p) && container.running()) {
-      // Load or drop a cache: grow residency, shrink it again later.
-      const memcg::Bytes spike = rng->uniform_int(8, 64) * memcg::kMiB;
-      container.adjust_resident(spike);
-      sim.schedule_after(
-          sim::seconds(1),
-          [&container, spike] {
-            if (container.running()) container.adjust_resident(-spike);
-          });
-    }
-    sim.schedule_after(sim::kSecond, *tick);
-  };
-  sim.schedule_after(sim::kSecond, *tick);
+  sim.schedule_after(sim::kSecond,
+                     ResidentSpikeTick{&sim, &container,
+                                       plan.resident_spike_p, rng, end});
 }
 
 // Background data-plane load for the --bw overlay: a steady attributed
@@ -513,30 +538,39 @@ void schedule_resident_spikes(sim::Simulation& sim,
 // the owning nodes at send time. Both the sender's egress lane and the
 // receiver's ingress lane see the bytes, so the shaper queues, throttle
 // telemetry, and the allocator's bandwidth arm all get exercised.
+struct BwTrafficTick {
+  sim::Simulation* sim;
+  net::Network* net;
+  cluster::Cluster* k8s;
+  cluster::ContainerId from;
+  cluster::ContainerId to;
+  double rate_per_s;  // messages per s
+  std::int64_t bytes;
+  std::shared_ptr<sim::Rng> rng;
+  sim::TimePoint end;
+
+  void operator()() const {
+    if (sim->now() > end) return;
+    cluster::Node* src = k8s->node_of(from);
+    cluster::Node* dst = k8s->node_of(to);
+    if (src != nullptr && dst != nullptr) {
+      net->send_flow(net::Channel::kAppData,
+                     static_cast<net::EndpointId>(src->id()),
+                     static_cast<net::EndpointId>(dst->id()), from, to,
+                     static_cast<std::size_t>(bytes), [] {});
+    }
+    sim->schedule_after(exponential_gap(*rng, rate_per_s), *this);
+  }
+};
+
 void schedule_bw_traffic(sim::Simulation& sim, net::Network& net,
                          cluster::Cluster& k8s, cluster::ContainerId from,
                          cluster::ContainerId to, double rate_per_s,
                          std::int64_t bytes, std::shared_ptr<sim::Rng> rng,
                          sim::TimePoint end) {
-  const auto next_gap = [rng, rate_per_s] {
-    return std::max<sim::Duration>(
-        1, static_cast<sim::Duration>(1e6 / rate_per_s *
-                                      rng->exponential(1.0)));
-  };
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, &net, &k8s, from, to, bytes, next_gap, end, tick] {
-    if (sim.now() > end) return;
-    cluster::Node* src = k8s.node_of(from);
-    cluster::Node* dst = k8s.node_of(to);
-    if (src != nullptr && dst != nullptr) {
-      net.send_flow(net::Channel::kAppData,
-                    static_cast<net::EndpointId>(src->id()),
-                    static_cast<net::EndpointId>(dst->id()), from, to,
-                    static_cast<std::size_t>(bytes), [] {});
-    }
-    sim.schedule_after(next_gap(), *tick);
-  };
-  sim.schedule_after(next_gap(), *tick);
+  const BwTrafficTick tick{&sim, &net, &k8s, from, to, rate_per_s,
+                           bytes, rng, end};
+  sim.schedule_after(exponential_gap(*rng, rate_per_s), tick);
 }
 
 // --rt overlay: the admission plan — which tenant-0 containers declare a
