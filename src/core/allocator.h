@@ -82,8 +82,8 @@ class ResourceAllocator {
   // below `cores` (or its bandwidth rate below `bw_bps`). Set by the
   // Controller at admission, cleared at eviction/deregistration. RT
   // containers also bypass the credit Υ-gate: their priority was paid for
-  // at admission, not borrowed from the Karma ledger.
-  // These rows are the only store of admitted floors.
+  // at admission, not borrowed from the Karma ledger. The allocator's slot
+  // rows are the only store of admitted floors.
   void set_rt_floor(std::uint32_t id, double cores, double bw_bps);
   void clear_rt_floor(std::uint32_t id);
   // The admitted RT floor of `r` (kCpu or kBw); 0 for best-effort or
@@ -122,7 +122,9 @@ class ResourceAllocator {
   // The elastic arms: CPU in cores, bandwidth in bytes/s. Both run one
   // rule (decide()); only units and tunables differ.
   enum Arm : std::size_t { kCpuArm = 0, kBwArm = 1, kArms = 2 };
-  static Arm arm_of(Resource r) { return r == Resource::kBw ? kBwArm : kCpuArm; }
+  static Arm arm_of(Resource r) {
+    return r == Resource::kBw ? kBwArm : kCpuArm;
+  }
   // One arm's tunables, from EscraConfig, and its decision counters.
   struct ArmParams {
     double upsilon = 0.0;

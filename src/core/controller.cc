@@ -10,10 +10,11 @@ namespace escra::core {
 
 namespace {
 // Tolerance for the RT floor-raising paths. The CPU limit_epsilon exists to
-// damp RPC churn on best-effort limits, but an admitted reservation's floor is a
-// core-for-core promise: leaving the book even a milli-core short of it is a
-// real deadline-miss cause the checker (cpu_eps = 1e-6) rightly flags. Only
-// floating-point dust is tolerated when raising to or shedding toward a floor.
+// damp RPC churn on best-effort limits, but an admitted reservation's floor
+// is a core-for-core promise: leaving the book even a milli-core short of it
+// is a real deadline-miss cause the checker (cpu_eps = 1e-6) rightly flags.
+// Only floating-point dust is tolerated when raising to or shedding toward a
+// floor.
 constexpr double kRtFloorSlack = 1e-9;
 }  // namespace
 
@@ -981,8 +982,9 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     if (obs_ != nullptr) obs_->h.resyncs->inc();
     // From the applied (fail-static) limit at the node to the
     // controller-intended shadow limit.
-    const obs::EventId resync_ev = trace(obs::EventKind::kResync, s.id, s.cpu_cores, want_cores,
-                      static_cast<std::int64_t>(s.mem_limit), 0, node + 1);
+    const obs::EventId resync_ev =
+        trace(obs::EventKind::kResync, s.id, s.cpu_cores, want_cores,
+              static_cast<std::int64_t>(s.mem_limit), 0, node + 1);
     // Corrective update where the node diverges from the intent. Memory
     // is left to the periodic reclamation loop (shrinking a memory limit
     // below live usage would manufacture OOMs).
@@ -1478,7 +1480,7 @@ double Controller::rt_floor_of(cluster::ContainerId id) const {
   return allocator_.rt_floor(Resource::kCpu, id);
 }
 
-double Controller::node_rt_reserved(cluster::NodeId node,
+double Controller::node_rt_reserved(Resource r, cluster::NodeId node,
                                     cluster::ContainerId except) const {
   double sum = 0.0;
   for (const auto& [id, spec] : rt_) {
@@ -1487,22 +1489,7 @@ double Controller::node_rt_reserved(cluster::NodeId node,
     if (slot == ContainerIndex::kInvalid) continue;
     const Entry& e = registry_[slot];
     if (e.agent != nullptr && e.agent->node().id() == node) {
-      sum += spec.floor_cores();
-    }
-  }
-  return sum;
-}
-
-double Controller::node_rt_bw_reserved(cluster::NodeId node,
-                                       cluster::ContainerId except) const {
-  double sum = 0.0;
-  for (const auto& [id, spec] : rt_) {
-    if (id == except) continue;
-    const std::uint32_t slot = index_.find(id);
-    if (slot == ContainerIndex::kInvalid) continue;
-    const Entry& e = registry_[slot];
-    if (e.agent != nullptr && e.agent->node().id() == node) {
-      sum += allocator_.rt_floor(Resource::kBw, id);
+      sum += allocator_.rt_floor(r, id);
     }
   }
   return sum;
@@ -1531,7 +1518,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // reservations only while their density sum stays under the bound — the
   // slack above it is what absorbs CFS quantization and best-effort floors.
   const double node_cores = entry->agent->node().config().cores;
-  if (node_rt_reserved(node, id) + floor >
+  if (node_rt_reserved(Resource::kCpu, node, id) + floor >
       config_.rt_util_bound * node_cores + limit_epsilon(Resource::kCpu)) {
     record_rt_rejected(id, floor, 0);
     return RtAdmit::kRejectedNode;
@@ -1549,7 +1536,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   if (bw_bps > 0.0) {
     const double nic =
         bw_shaper_ != nullptr ? bw_shaper_->node_nic_bps(node) : 0.0;
-    if (nic <= 0.0 || node_rt_bw_reserved(node, id) + bw_bps >
+    if (nic <= 0.0 || node_rt_reserved(Resource::kBw, node, id) + bw_bps >
                           config_.rt_bw_bound * nic + 0.5) {
       record_rt_rejected(id, floor, 2);
       return RtAdmit::kRejectedBw;

@@ -464,10 +464,10 @@ class Controller {
   // Raises the container's shadow limit to its floor (shedding best-effort
   // if the pool is dry) so the reservation holds from admission onward.
   void raise_to_rt_floor(cluster::ContainerId id, double floor);
-  double node_rt_reserved(cluster::NodeId node,
+  // The admitted RT floors of `r` (kCpu or kBw) summed over `node`'s
+  // containers, `except` excluded.
+  double node_rt_reserved(Resource r, cluster::NodeId node,
                           cluster::ContainerId except) const;
-  double node_rt_bw_reserved(cluster::NodeId node,
-                             cluster::ContainerId except) const;
   void on_deadline_miss(cluster::Container& container,
                         sim::Duration remaining);
   void record_rt_rejected(cluster::ContainerId id, double floor,
