@@ -19,7 +19,8 @@
 //    be exactly reproducible run-to-run, keep every invariant green, and end
 //    converged. One more raw-trace digest pins a run with the bandwidth arm,
 //    the credit defense and RT admissions all on, so the shrink, credit and
-//    floor paths are covered too.
+//    floor paths are covered too, and another pins the same run with a
+//    leader kill, so the replicated image and its takeover are covered.
 //
 // 3) Sharded vs single controller: a ShardedControlPlane at --shards 1 is
 //    the same EscraSystem behind a router, so its decision stream must be
@@ -563,6 +564,24 @@ TEST(DifferentialTest, BandwidthCreditRtRunMatchesCommittedDigest) {
   EXPECT_GT(r.count(obs::EventKind::kCreditCharge), 0u);
   EXPECT_GT(r.count(obs::EventKind::kRtAdmitted), 0u);
   EXPECT_EQ(digest_of_text(r.raw_trace), 0x7522ec0de8ceba5cULL);
+}
+
+// The same overlays with a leader kill at t = 1 s: the takeover has to carry
+// the admitted RT set, the credit balances and the bandwidth book across the
+// handoff, so the replicated image and its replay are pinned here.
+TEST(DifferentialTest, FailoverWithBandwidthCreditRtMatchesCommittedDigest) {
+  const CanonicalRun r = run_canonical({.failover = true,
+                                        .bw = true,
+                                        .credit = true,
+                                        .rt = true,
+                                        .pool_cores = 128.0});
+  EXPECT_TRUE(r.checker_ok) << r.checker_report;
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_GT(r.count(obs::EventKind::kLeaderElected), 0u);
+  EXPECT_GT(r.count(obs::EventKind::kRtAdmitted), 0u);
+  EXPECT_GT(r.count(obs::EventKind::kCreditCharge), 0u);
+  EXPECT_GT(r.count(obs::EventKind::kBwShrink), 0u);
+  EXPECT_EQ(digest_of_text(r.raw_trace), 0xeaa936b5d168e347ULL);
 }
 
 TEST(DifferentialTest, BothPathsAreReproducibleAndSoundUnderRpcLoss) {
