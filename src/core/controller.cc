@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster.h"
+
 namespace escra::core {
 
 namespace {
@@ -101,8 +103,7 @@ void Controller::register_container(cluster::Container& container,
 void Controller::register_impl(cluster::Container& container,
                                cluster::Node& node, double cores,
                                memcg::Bytes mem, RegisterMode mode,
-                               double bw_want, const cfs::RtSpec* rt,
-                               double rt_bw) {
+                               double bw_want) {
   if (crashed_) {
     // Vacant seat: queue the admission (see deferred_registrations_). The
     // container runs against its creation-time cgroup limits meanwhile —
@@ -237,16 +238,13 @@ void Controller::register_impl(cluster::Container& container,
         return handle_oom(*cptr, charge, shortfall);
       });
 
-  // RT reservation recovery. Takeover re-installs the replicated image
-  // (exactly-once: install_rt re-emits the kRt record so the new leader's
-  // stream rebuilds the standbys). Resync re-derives the reservation from
-  // the node-side container — the periodic-job model and its burst survive
-  // a controller crash (fail static), so the node is the authoritative
-  // record a restarted seat can actually reach. Neither path re-runs the
-  // admission test: the reservation was admitted once, by a live leader.
-  if (mode == RegisterMode::kTakeover && rt != nullptr && rt->valid()) {
-    install_rt(container.id(), *rt, rt_bw, /*fresh=*/false);
-  } else if (mode == RegisterMode::kResync && container.rt().valid()) {
+  // RT reservation recovery on resync: re-derive the reservation from the
+  // node-side container — the periodic-job model and its burst survive a
+  // controller crash (fail static), so the node is the authoritative record
+  // a restarted seat can actually reach. Takeover installs the replicated
+  // image instead. Neither path re-runs the admission test: the reservation
+  // was admitted once, by a live leader.
+  if (mode == RegisterMode::kResync && container.rt().valid()) {
     // The bandwidth arm of the reservation is controller soft state with no
     // node-side mirror; a plain restart conservatively re-admits CPU only.
     install_rt(container.id(), container.rt(), 0.0, /*fresh=*/false);
@@ -1112,67 +1110,30 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   return saved;
 }
 
-std::vector<Controller::TakeoverContainer> Controller::registry_snapshot() {
-  std::vector<TakeoverContainer> out;
-  out.reserve(index_.size());
-  index_.for_each([&](std::uint32_t, cluster::ContainerId id) {
-    TakeoverContainer c;
-    c.id = id;
-    c.cores = allocator_.app().member_cores(id);
-    c.mem = allocator_.app().member_mem(id);
-    c.bw_bps = allocator_.app().member_bw(id);
-    const auto rt = rt_.find(id);
-    if (rt != rt_.end()) {
-      c.rt = rt->second;
-      c.rt_bw_bps = allocator_.rt_floor(Resource::kBw, id);
-    }
-    out.push_back(c);
-  });
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverContainer& a, const TakeoverContainer& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-std::vector<Controller::TakeoverSlot> Controller::pending_slots() const {
-  std::vector<TakeoverSlot> out;
-  out.reserve(open_pending_);
+ReplicaState Controller::image() const {
+  ReplicaState r;
+  r.epoch = incarnation_;
+  for (const auto& [node, h] : health_) {
+    r.nodes[node] = {h.agent_incarnation, h.dead};
+  }
   index_.for_each([&](std::uint32_t slot, cluster::ContainerId id) {
-    for (int r = 0; r < 3; ++r) {
-      const std::size_t idx = static_cast<std::size_t>(slot) * 3 + r;
+    r.containers[id] = {allocator_.app().member_cores(id),
+                        allocator_.app().member_mem(id),
+                        registry_[slot].agent->node().id(),
+                        allocator_.app().member_bw(id)};
+    for (std::size_t idx = slot * 3ULL; idx < slot * 3ULL + 3; ++idx) {
       if (pending_open_[idx] == 0) continue;
       const Pending& p = pending_[idx];
-      TakeoverSlot s;
-      s.id = id;
-      s.limit = p.limit;
-      s.seq = p.seq;
-      out.push_back(s);
+      r.slots[slot_key(id, p.limit.resource)] = {p.seq, p.limit};
     }
   });
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverSlot& a, const TakeoverSlot& b) {
-              return a.id != b.id ? a.id < b.id
-                                  : a.limit.resource < b.limit.resource;
-            });
-  return out;
-}
-
-std::vector<Controller::TakeoverNode> Controller::health_snapshot() const {
-  std::vector<TakeoverNode> out;
-  out.reserve(health_.size());
-  for (const auto& [node, h] : health_) {
-    TakeoverNode n;
-    n.node = node;
-    n.agent_incarnation = h.agent_incarnation;
-    n.dead = h.dead;
-    out.push_back(n);
+  for (const auto& [id, acct] : credits_.accounts()) r.credits[id] = acct.micro;
+  r.credit_minted = credits_.minted_micro();
+  r.credit_burned = credits_.burned_micro();
+  for (const auto& [id, spec] : rt_) {
+    r.rt[id] = {spec, allocator_.rt_floor(Resource::kBw, id)};
   }
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverNode& a, const TakeoverNode& b) {
-              return a.node < b.node;
-            });
-  return out;
+  return r;
 }
 
 std::vector<Agent*> Controller::agents() {
@@ -1182,10 +1143,8 @@ std::vector<Agent*> Controller::agents() {
   return out;
 }
 
-void Controller::takeover(std::uint64_t epoch,
-                          const std::vector<TakeoverContainer>& containers,
-                          const std::vector<TakeoverSlot>& slots,
-                          const std::vector<TakeoverNode>& nodes,
+void Controller::takeover(std::uint64_t epoch, const ReplicaState& replica,
+                          const cluster::Cluster& cluster,
                           obs::EventId cause) {
   // A live (deposed) leader is crashed first by the caller; a dead one is
   // simply re-seated. Either way the seat starts from the replica, not from
@@ -1200,30 +1159,38 @@ void Controller::takeover(std::uint64_t epoch,
   // Node health first, so registration sees liveness state. Dead nodes
   // restart their quarantine clock under the new leader — the share is
   // reclaimed `quarantine_grace` after takeover, not retroactively.
-  for (const TakeoverNode& n : nodes) {
-    NodeHealth& h = health_[n.node];
+  for (const auto& [node, n] : replica.nodes) {
+    NodeHealth& h = health_[node];
     h.last_heartbeat = sim_.now();
     h.agent_incarnation = n.agent_incarnation;
     h.dead = n.dead;
     if (n.dead) {
-      const cluster::NodeId node = n.node;
       h.reclaim_timer = sim_.schedule_after(
           config_.quarantine_grace, [this, node] { reclaim_dead_node(node); });
     }
-    emit_node_health(n.node, n.agent_incarnation, n.dead);
+    emit_node_health(node, n.agent_incarnation, n.dead);
   }
 
   // Rebuild the registry and pool book from the replicated shadow limits.
   // The values were committed against the same pool by the old epoch, so
   // re-committing them in sorted order reproduces the book exactly — no
   // cgroup writes, no bootstrap traffic (kTakeover behaves like kResync on
-  // the wire: the node-side state is whatever fail-static preserved).
-  for (const TakeoverContainer& c : containers) {
-    if (c.container == nullptr || c.node == nullptr) continue;
-    if (index_.contains(c.container->id())) continue;
-    register_impl(*c.container, *c.node, c.cores, c.mem,
-                  RegisterMode::kTakeover, c.bw_bps,
-                  c.rt.valid() ? &c.rt : nullptr, c.rt_bw_bps);
+  // the wire: the node-side state is whatever fail-static preserved). A
+  // replicated RT reservation is re-installed right after its container,
+  // exactly-once: install_rt re-emits the kRt record so the new leader's
+  // stream rebuilds the standbys.
+  for (const auto& [id, c] : replica.containers) {
+    cluster::Container* container = cluster.find_container(id);
+    cluster::Node* node = cluster.node_of(id);
+    if (container == nullptr || node == nullptr || index_.contains(id)) {
+      continue;
+    }
+    register_impl(*container, *node, c.cores, c.mem, RegisterMode::kTakeover,
+                  c.bw_bps);
+    const auto rt = replica.rt.find(id);
+    if (rt != replica.rt.end() && rt->second.spec.valid()) {
+      install_rt(id, rt->second.spec, rt->second.bw_bps, /*fresh=*/false);
+    }
   }
 
   // Replay every still-open desired-state slot with a fresh epoch-packed
@@ -1231,11 +1198,12 @@ void Controller::takeover(std::uint64_t epoch,
   // unacked RPCs left divergent, and their acks close the slots normally.
   std::vector<cluster::ContainerId> cpu_slotted;
   std::vector<cluster::ContainerId> bw_slotted;
-  for (const TakeoverSlot& s : slots) {
-    if (!index_.contains(s.id)) continue;
-    if (s.limit.resource == Resource::kCpu) cpu_slotted.push_back(s.id);
-    if (s.limit.resource == Resource::kBw) bw_slotted.push_back(s.id);
-    push_limit(s.id, s.limit, LoopCtx{.cause = cause});
+  for (const auto& [key, s] : replica.slots) {
+    const cluster::ContainerId id = slot_key_container(key);
+    if (!index_.contains(id)) continue;
+    if (s.limit.resource == Resource::kCpu) cpu_slotted.push_back(id);
+    if (s.limit.resource == Resource::kBw) bw_slotted.push_back(id);
+    push_limit(id, s.limit, LoopCtx{.cause = cause});
   }
 
   // A node's applied limit may sit above the book this seat just rebuilt:
@@ -1276,6 +1244,53 @@ void Controller::takeover(std::uint64_t epoch,
   // Admissions queued during the vacancy, answered against the fully
   // rebuilt book (takeover is synchronous, unlike restart's async resync).
   drain_deferred_registrations();
+
+  // Credit-ledger image (Karma defense), skipped when the replica carries
+  // no credit state (defense off in this run). Re-registration opened fresh
+  // init accounts; the replicated balances replace them wholesale, so a
+  // greedy tenant cannot launder its debt through a failover. Accounts for
+  // containers the takeover could not re-register (vanished mid-failover)
+  // are dropped, their balances burned into the totals so conservation
+  // survives the filter.
+  if (replica.credits.empty() && replica.credit_minted == 0 &&
+      replica.credit_burned == 0) {
+    return;
+  }
+  std::vector<cluster::ContainerId> live;
+  live.reserve(credits_.size());
+  for (const auto& [id, acct] : credits_.accounts()) live.push_back(id);
+  std::vector<CreditLedger::Snapshot> kept;
+  kept.reserve(replica.credits.size());
+  std::int64_t dropped = 0;
+  for (const auto& [id, micro] : replica.credits) {
+    if (index_.contains(id)) {
+      kept.push_back({id, micro});
+    } else {
+      dropped += micro;
+    }
+  }
+  // Under replication faults the image's totals and its account map can be
+  // stale relative to each other: a lost kCredit record drops an account's
+  // open (or close) while later records overwrite the totals with values
+  // that include it. The balances are the authoritative part, so re-derive
+  // the minted total from them and enforce conservation structurally. In a
+  // clean failover the image is self-consistent and this reproduces the
+  // replicated minted total exactly.
+  const std::int64_t total_burned = replica.credit_burned + dropped;
+  std::int64_t outstanding = 0;
+  for (const CreditLedger::Snapshot& a : kept) outstanding += a.micro;
+  credits_.install(kept, total_burned + outstanding, total_burned);
+  // A live member missing from the image (its open record never reached
+  // the replicated WAL) starts over from the init grant — the same account
+  // the takeover re-registration gave it before the install replaced it.
+  for (const cluster::ContainerId id : live) {
+    if (!credits_.contains(id)) open_credit_account(id);
+  }
+  // Re-emit the installed image so the new leader's own WAL stream starts
+  // from the authoritative balances, not the register-time init grants.
+  for (const auto& [id, acct] : credits_.accounts()) {
+    emit_credit(id, /*removed=*/false);
+  }
 }
 
 void Controller::drain_deferred_registrations() {
@@ -1419,52 +1434,6 @@ void Controller::emit_credit(cluster::ContainerId id, bool removed) {
   rev.credit_burned = credits_.burned_micro();
   rev.credit_removed = removed;
   emit_repl(rev);
-}
-
-void Controller::install_credits(
-    const std::vector<CreditLedger::Snapshot>& accounts, std::int64_t minted,
-    std::int64_t burned) {
-  // Takeover re-registration already opened init accounts for every member
-  // it could rebuild; the replicated image replaces those wholesale.
-  // Accounts for containers the takeover could not re-register (vanished
-  // mid-failover) are dropped, their balances burned into the totals so
-  // conservation survives the filter.
-  std::vector<cluster::ContainerId> live;
-  live.reserve(credits_.size());
-  for (const auto& [id, acct] : credits_.accounts()) live.push_back(id);
-  std::vector<CreditLedger::Snapshot> kept;
-  kept.reserve(accounts.size());
-  std::int64_t dropped = 0;
-  for (const CreditLedger::Snapshot& s : accounts) {
-    if (index_.find(s.id) != ContainerIndex::kInvalid) {
-      kept.push_back(s);
-    } else {
-      dropped += s.micro;
-    }
-  }
-  // Under replication faults the image's totals and its account map can be
-  // stale relative to each other: a lost kCredit record drops an account's
-  // open (or close) while later records overwrite the totals with values
-  // that include it. The balances are the authoritative part, so re-derive
-  // the minted total from them and enforce conservation structurally. In a
-  // clean failover the image is self-consistent and this reproduces the
-  // replicated minted total exactly.
-  (void)minted;
-  const std::int64_t total_burned = burned + dropped;
-  std::int64_t outstanding = 0;
-  for (const CreditLedger::Snapshot& s : kept) outstanding += s.micro;
-  credits_.install(kept, total_burned + outstanding, total_burned);
-  // A live member missing from the image (its open record never reached
-  // the replicated WAL) starts over from the init grant — the same account
-  // the takeover re-registration gave it before the install replaced it.
-  for (const cluster::ContainerId id : live) {
-    if (!credits_.contains(id)) open_credit_account(id);
-  }
-  // Re-emit the installed image so the new leader's own WAL stream starts
-  // from the authoritative balances, not the register-time init grants.
-  for (const auto& [id, acct] : credits_.accounts()) {
-    emit_credit(id, /*removed=*/false);
-  }
 }
 
 double Controller::rt_capacity() const {
@@ -1614,11 +1583,8 @@ void Controller::emit_rt(cluster::ContainerId id, bool removed) {
   rev.container = id;
   const auto it = rt_.find(id);
   if (it != rt_.end()) {
-    rev.cores = it->second.floor_cores();
+    rev.rt = it->second;
     rev.bw_bps = allocator_.rt_floor(Resource::kBw, id);
-    rev.rt_runtime = it->second.runtime;
-    rev.rt_deadline = it->second.deadline;
-    rev.rt_period = it->second.period;
   }
   rev.rt_removed = removed;
   emit_repl(rev);

@@ -36,9 +36,14 @@
 #include "core/container_index.h"
 #include "core/credit_ledger.h"
 #include "core/messages.h"
+#include "core/replica.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/event_queue.h"
+
+namespace escra::cluster {
+class Cluster;
+}  // namespace escra::cluster
 
 namespace escra::core {
 
@@ -79,103 +84,35 @@ class Controller {
 
   // --- warm-standby replication (controller HA, src/ha) ---
   //
-  // Every durable state change the leader makes — container registration /
-  // deregistration (pool commitments), desired-state slot opens and acks,
-  // shadow-limit moves, node-liveness transitions — is mirrored to an
-  // optional replication hook as a flat record. src/ha turns the stream into
-  // a sequence-numbered WAL shipped to the standbys; core stays ignorant of
-  // the transport.
-  struct ReplicationEvent {
-    enum class Kind {
-      kRegister,    // container joined: committed cores/mem/bw
-      kDeregister,  // container left (deregistered or quarantine-reclaimed)
-      kSlot,        // desired-state slot opened/superseded (seq, limit)
-      kAckSlot,     // slot acked by the Agent (seq closed it)
-      kMemShadow,   // shadow memory limit moved without a slot (reclaim)
-      kNodeHealth,  // node liveness / agent-incarnation transition
-      kCredit,      // credit-ledger account moved (balance + totals image)
-      kRt,          // RT reservation admitted (absolute image) or revoked
-    };
-    Kind kind = Kind::kRegister;
-    cluster::ContainerId container = 0;
-    cluster::NodeId node = 0;
-    std::uint64_t seq = 0;  // slot sequence number (kSlot/kAckSlot)
-    // The slot's limit (kSlot); kAckSlot carries only its resource.
-    Limit limit{};
-    double cores = 0.0;                   // kRegister / kRt
-    memcg::Bytes mem = 0;                 // kRegister / kMemShadow
-    double bw_bps = 0.0;                  // kRegister / kRt
-    std::uint64_t agent_incarnation = 0;  // kNodeHealth
-    bool node_dead = false;               // kNodeHealth
-    // kCredit: the account's absolute balance plus the ledger's running
-    // mint/burn totals (absolute images keep WAL replay a pure fold).
-    std::int64_t credit_micro = 0;
-    std::int64_t credit_minted = 0;
-    std::int64_t credit_burned = 0;
-    bool credit_removed = false;  // account closed (container left)
-    // kRt: the reservation's absolute (runtime, deadline, period) image —
-    // `cores` carries the admitted floor, `bw_bps` the bandwidth
-    // reservation. rt_removed marks an explicit eviction.
-    sim::Duration rt_runtime = 0;
-    sim::Duration rt_deadline = 0;
-    sim::Duration rt_period = 0;
-    bool rt_removed = false;
-  };
+  // Every durable state change is mirrored to an optional replication hook
+  // as one ReplicationEvent (core/replica.h); src/ha turns the stream into
+  // a sequence-numbered WAL shipped to the standbys.
   using ReplicationHook = std::function<void(const ReplicationEvent&)>;
   void set_replication_hook(ReplicationHook hook) {
     repl_hook_ = std::move(hook);
   }
 
-  // Takeover: a standby installs its replicated state into this controller
-  // seat and assumes leadership under `epoch` (strictly above every epoch
-  // this seat has used). Unlike restart(), no snapshot round-trips to the
-  // Agents are needed: the registry, pool commitments and node health are
-  // rebuilt from the replica, and every still-open desired-state slot is
-  // re-issued with a fresh `epoch`-packed sequence — the corrective updates
-  // double as the convergence traffic, so takeover cost is one one-way RPC
-  // per divergent container instead of a full resync. Works on a crashed
-  // seat (leader death) or a live one (a deposed leader being superseded:
-  // crash() first). `cause` threads the kLeaderElected trace event into the
-  // replayed updates' causal chains.
-  struct TakeoverContainer {
-    cluster::ContainerId id = 0;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;  // replicated shadow bandwidth rate; 0 = unshaped
-    // Replicated RT reservation (rt.valid() false when best-effort); the
-    // bandwidth arm of the reservation rides rt_bw_bps.
-    cfs::RtSpec rt;
-    double rt_bw_bps = 0.0;
-    // Resolved by the caller (the replica carries ids; src/ha resolves them
-    // against the Cluster before installing). Entries with a null pointer —
-    // the container vanished while the replica was in flight — are skipped.
-    cluster::Container* container = nullptr;
-    cluster::Node* node = nullptr;
-  };
-  struct TakeoverSlot {
-    cluster::ContainerId id = 0;
-    Limit limit;
-    // The slot's current sequence number. Informational for takeover()
-    // (replay always stamps fresh new-epoch sequences); used by src/ha to
-    // seed its book and to model a deposed leader's in-flight retransmits.
-    std::uint64_t seq = 0;
-  };
-  struct TakeoverNode {
-    cluster::NodeId node = 0;
-    std::uint64_t agent_incarnation = 0;
-    bool dead = false;
-  };
-  void takeover(std::uint64_t epoch,
-                const std::vector<TakeoverContainer>& containers,
-                const std::vector<TakeoverSlot>& slots,
-                const std::vector<TakeoverNode>& nodes,
-                obs::EventId cause = 0);
+  // The seat's replicated state as of now: exactly what folding every
+  // ReplicationEvent this seat has emitted would hold. src/ha seeds its
+  // leader book from it when attaching to a live system.
+  ReplicaState image() const;
 
-  // Leader-side state snapshots (sorted, deterministic), used by src/ha to
-  // seed the replication book when attaching to a live system.
-  std::vector<TakeoverContainer> registry_snapshot();
-  std::vector<TakeoverSlot> pending_slots() const;
-  std::vector<TakeoverNode> health_snapshot() const;
+  // Takeover: a standby installs its replica into this controller seat and
+  // assumes leadership under `epoch` (strictly above every epoch this seat
+  // has used). Unlike restart(), no snapshot round-trips to the Agents are
+  // needed: node health, the registry with its pool commitments and RT
+  // reservations, and the credit ledger are rebuilt from the replica (ids
+  // resolved against `cluster`; containers that vanished meanwhile are
+  // skipped), and every still-open desired-state slot is re-issued with a
+  // fresh `epoch`-packed sequence — the corrective updates double as the
+  // convergence traffic, so takeover cost is one one-way RPC per divergent
+  // container instead of a full resync. Works on a crashed seat (leader
+  // death) or a live one (a deposed leader being superseded: crash()
+  // first). `cause` threads the kLeaderElected trace event into the
+  // replayed updates' causal chains.
+  void takeover(std::uint64_t epoch, const ReplicaState& replica,
+                const cluster::Cluster& cluster, obs::EventId cause = 0);
+
   std::vector<Agent*> agents();
 
   // The controller epoch stamped into update sequence numbers. Advances on
@@ -269,12 +206,6 @@ class Controller {
   // sweep every CFS period), the trace, and the replication stream; the
   // allocator reads it via a const pointer to Υ-gate grants.
   const CreditLedger& credits() const { return credits_; }
-  // Warm-standby takeover installs the replicated balances (call right
-  // after takeover(); synchronous, so no settle tick intervenes). Re-emits
-  // one kCredit record per account so the new leader's stream rebuilds the
-  // standbys' images.
-  void install_credits(const std::vector<CreditLedger::Snapshot>& accounts,
-                       std::int64_t minted, std::int64_t burned);
 
   // --- real-time admission control (mixed-criticality class) ---
   //
@@ -386,13 +317,9 @@ class Controller {
   enum class RegisterMode { kBootstrap, kResync, kTakeover };
   // `bw_want` is the recovery-mode bandwidth rate to re-admit (snapshot or
   // replica value); bootstrap ignores it and derives the rate from the plan.
-  // `rt`/`rt_bw` re-install a replicated RT reservation on the takeover
-  // path (resync re-derives the reservation from node-side container state
-  // instead — the node is the source of truth a restarted seat can reach).
   void register_impl(cluster::Container& container, cluster::Node& node,
                      double cores, memcg::Bytes mem, RegisterMode mode,
-                     double bw_want = 0.0, const cfs::RtSpec* rt = nullptr,
-                     double rt_bw = 0.0);
+                     double bw_want = 0.0);
   void ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                         sim::TimePoint fire_time);
   // Opens (or supersedes) the container's desired-state slot for

@@ -84,11 +84,4 @@ void CreditLedger::install(const std::vector<Snapshot>& accounts,
   burned_ = burned;
 }
 
-std::vector<CreditLedger::Snapshot> CreditLedger::snapshot() const {
-  std::vector<Snapshot> out;
-  out.reserve(accounts_.size());
-  for (const auto& [id, a] : accounts_) out.push_back(Snapshot{id, a.micro});
-  return out;
-}
-
 }  // namespace escra::core

@@ -101,7 +101,6 @@ class CreditLedger {
   // under the new leader.
   void install(const std::vector<Snapshot>& accounts, std::int64_t minted,
                std::int64_t burned);
-  std::vector<Snapshot> snapshot() const;
 
   // --- conservation (invariant checker) ---
   std::int64_t minted_micro() const { return minted_; }

@@ -2,13 +2,14 @@
 //
 // The active leader streams the Controller's decision/state WAL (src/ha/
 // wal.h) to N standby replicas over net::Channel::kHaReplication, and
-// announces its leadership lease every `lease_interval`. Each standby folds
-// the delivered records into a ReplicaState — the exact image a new leader
-// needs: registered containers with their current shadow limits, every
-// still-open desired-state slot, and the node liveness/incarnation map.
+// announces its leadership lease every 50 ms. Each standby folds the
+// delivered records into a core::ReplicaState — the exact image a new
+// leader needs: registered containers with their current shadow limits,
+// every still-open desired-state slot, the node liveness/incarnation map,
+// the credit balances and the admitted RT reservations.
 //
-// When the lease goes silent for `lease_timeout` (+ rank * takeover_stagger,
-// so elections are staggered and at most one standby moves at a time), the
+// When the lease goes silent for kLeaseTimeout (+ 100 ms per rank, so
+// elections are staggered and at most one standby moves at a time), the
 // standby fences the old epoch and takes over:
 //
 //   1. It claims a strictly higher epoch. If the old leader is in fact
@@ -16,15 +17,15 @@
 //      the old leader lives on briefly as a "ghost" that keeps
 //      retransmitting its in-flight old-epoch updates until it abdicates.
 //   2. Controller::takeover installs the replica: registry, pool
-//      commitments and node health rebuild from the book — no Agent
-//      resync round-trips — and every open slot is replayed with a fresh
-//      epoch-packed sequence.
+//      commitments, node health, credits and RT reservations rebuild from
+//      it — no Agent resync round-trips — and every open slot is replayed
+//      with a fresh epoch-packed sequence.
 //   3. A fence broadcast tells every Agent the new epoch. Agents discard
 //      any lower-epoch update (Apply::kFenced, reusing the incarnation/seq
 //      machinery), so the ghost can never move a cgroup after the handoff:
 //      epochs resolve split brain, divergent limits are never applied.
 //   4. The fence/replay traffic doubles as controller contact, so a
-//      takeover that beats the Agents' lease watchdog (lease_timeout <<
+//      takeover that beats the Agents' lease watchdog (kLeaseTimeout <<
 //      agent lease) keeps every node out of fail-static entirely.
 //
 // The promoted standby's seat is the Controller singleton itself (the seat
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -46,25 +48,13 @@
 
 namespace escra::ha {
 
+// Silence after which a standby declares the leader dead. Sits well under
+// the Agents' fail-static lease (default 500 ms), so a takeover keeps nodes
+// live.
+inline constexpr sim::Duration kLeaseTimeout = sim::milliseconds(200);
+
 struct HaConfig {
   int standbys = 1;
-  // Leader -> standby lease announcement period (also the retransmit /
-  // ack-cursor exchange tick).
-  sim::Duration lease_interval = sim::milliseconds(50);
-  // Silence after which a standby declares the leader dead. Must sit well
-  // under the Agents' fail-static lease (default 500 ms) for takeover to
-  // keep nodes live.
-  sim::Duration lease_timeout = sim::milliseconds(200);
-  // Election stagger between standby ranks: rank k waits an extra
-  // k * takeover_stagger, so a successful takeover (whose new lease
-  // announcements arrive within one RTT) always preempts lower ranks.
-  sim::Duration takeover_stagger = sim::milliseconds(100);
-  // How long a deposed (split-brain) leader keeps retransmitting its
-  // in-flight updates before noticing the higher epoch and abdicating.
-  sim::Duration ghost_abdicate = sim::milliseconds(500);
-  // Standby ack cursors further than this many records behind the log head
-  // at a lease tick are traced as kWalLag.
-  std::uint64_t wal_lag_threshold = 64;
   // First standby-endpoint index this plane hands out: standby k answers at
   // net::standby_endpoint(endpoint_base + k). A sharded control plane gives
   // each shard's HA group a disjoint band (shard * max-standbys) so a
@@ -75,7 +65,7 @@ struct HaConfig {
 class HaControlPlane {
  public:
   // Attaches to a (possibly already running) system: hooks the Controller's
-  // replication stream, seeds the leader book from its live snapshots, and
+  // replication stream, seeds the leader book from its live image(), and
   // creates `config.standbys` warm standbys. `net` must be the same network
   // the system's control plane runs on.
   HaControlPlane(core::EscraSystem& escra, net::Network& net,
@@ -99,16 +89,16 @@ class HaControlPlane {
   std::uint64_t wal_appends() const { return wal_appends_; }
   std::uint64_t wal_trimmed() const { return log_.base(); }
   int standby_count() const { return static_cast<int>(standbys_.size()); }
-  const ReplicaState& book() const { return book_; }
+  const core::ReplicaState& book() const { return book_; }
   // Rank r standby's replica / contiguously-applied cursor.
-  const ReplicaState& standby_replica(int rank) const;
+  const core::ReplicaState& standby_replica(int rank) const;
   std::uint64_t standby_next_index(int rank) const;
   bool ghost_active() const;
 
  private:
   struct Standby {
     int endpoint_index = 0;  // net::standby_endpoint() address (stable)
-    ReplicaState replica;
+    core::ReplicaState replica;
     std::uint64_t next_index = 0;  // next contiguous record to apply
     std::map<std::uint64_t, WalRecord> stash;  // out-of-order arrivals
     std::uint64_t acked = 0;  // leader-side cumulative-ack cursor
@@ -128,16 +118,17 @@ class HaControlPlane {
     std::uint64_t seq = 0;
   };
   struct Ghost {
-    std::uint64_t epoch = 0;
     std::vector<GhostSlot> slots;
     sim::TimePoint abdicate_at = 0;
     sim::EventHandle timer;
   };
 
-  void on_repl_event(const core::Controller::ReplicationEvent& ev);
+  void on_repl_event(const core::ReplicationEvent& ev);
   void append_and_stream(WalRecord record);
   void stream_record(Standby& standby, const WalRecord& record);
   void deliver_record(Standby& standby, const WalRecord& record);
+  // Folds stashed records contiguous with the cursor; drops stale ones.
+  void drain_stash(Standby& standby);
   void send_ack(Standby& standby);
   void leader_tick();
   Standby& add_standby();
@@ -156,7 +147,7 @@ class HaControlPlane {
   HaConfig config_;
 
   WalLog log_;
-  ReplicaState book_;  // leader-side fold of the same log
+  core::ReplicaState book_;  // leader-side fold of the same log
   std::vector<std::unique_ptr<Standby>> standbys_;  // index 0 = rank 0
   std::vector<std::unique_ptr<Ghost>> ghosts_;
   sim::EventHandle lease_loop_;

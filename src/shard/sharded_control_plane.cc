@@ -145,15 +145,13 @@ void ShardedControlPlane::export_merged_trace(std::ostream& out) const {
   obs::export_merged_jsonl(buffers, out);
 }
 
-void ShardedControlPlane::enable_ha(int standbys, ha::HaConfig base) {
+void ShardedControlPlane::enable_ha(int standbys) {
   if (!started_)
     throw std::logic_error("ShardedControlPlane::enable_ha before start()");
   for (int s = 0; s < shard_count(); ++s) {
-    ha::HaConfig config = base;
-    config.standbys = standbys;
-    config.endpoint_base = s * standbys;
-    shards_[s].ha = std::make_unique<ha::HaControlPlane>(*shards_[s].escra,
-                                                         net_, config);
+    shards_[s].ha = std::make_unique<ha::HaControlPlane>(
+        *shards_[s].escra, net_,
+        ha::HaConfig{.standbys = standbys, .endpoint_base = s * standbys});
     shards_[s].ha->start();
   }
   ha_enabled_ = true;

@@ -135,9 +135,8 @@ class ShardedControlPlane {
   // Arms a warm-standby HA group per shard (call after start()). Shard i's
   // standbys occupy the disjoint endpoint band [i * standbys, (i + 1) *
   // standbys) of net::standby_endpoint, so partitions and failovers stay
-  // per shard. `base` seeds every per-shard HaConfig (standbys and
-  // endpoint_base are overwritten).
-  void enable_ha(int standbys, ha::HaConfig base = ha::HaConfig{});
+  // per shard.
+  void enable_ha(int standbys);
   ha::HaControlPlane& ha(int shard);
   bool ha_enabled() const { return ha_enabled_; }
 

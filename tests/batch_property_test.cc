@@ -49,8 +49,7 @@ struct SlotModel {
   std::vector<std::string> violations;
 
   static std::uint64_t key_of(const obs::TraceEvent& e) {
-    return static_cast<std::uint64_t>(e.container) * 4 +
-           static_cast<std::uint64_t>(e.before);
+    return core::slot_key(e.container, static_cast<core::Resource>(e.before));
   }
 
   void flag(const std::string& what, const obs::TraceEvent& e) {
@@ -62,13 +61,9 @@ struct SlotModel {
   // The open slot for `key`, or 0 when closed. kRpcIssued and kRetransmit
   // fire synchronously from the slot's owner, so this snapshot is exact.
   std::uint64_t open_seq(std::uint64_t key) const {
-    for (const core::Controller::TakeoverSlot& s :
-         controller->pending_slots()) {
-      const std::uint64_t k = static_cast<std::uint64_t>(s.id) * 4 +
-                              static_cast<std::uint64_t>(s.limit.resource);
-      if (k == key) return s.seq;
-    }
-    return 0;
+    const core::ReplicaState image = controller->image();
+    const auto it = image.slots.find(key);
+    return it == image.slots.end() ? 0 : it->second.seq;
   }
 
   void on_event(const obs::TraceEvent& e) {

@@ -324,5 +324,32 @@ TEST(CreditHaTest, BalancesSurviveLeaderFailover) {
   ha.reset();
 }
 
+TEST(CreditHaTest, CappedBalanceSurvivesFailoverOfLateAttachedHa) {
+  // Balances banked before HA attaches: an account sitting at the cap emits
+  // no further credit record, so the standbys learn it only from the leader
+  // book HA seeds at attach time.
+  CreditRig rig;
+  rig.sim.run_until(seconds(60));
+  const cluster::ContainerId id = rig.containers[0]->id();
+  const std::int64_t banked =
+      rig.escra.controller().credits().balance_micro(id);
+  ASSERT_EQ(banked, CreditLedger::to_micro(30.0));
+
+  std::optional<ha::HaControlPlane> ha;
+  ha.emplace(rig.escra, rig.net, ha::HaConfig{.standbys = 2});
+  ha->start();
+  check::InvariantChecker checker(rig.escra, rig.net, rig.observer);
+  checker.attach_credits(rig.escra.controller().credits());
+  rig.sim.schedule_at(seconds(61), [&] { ha->kill_leader(); });
+  rig.sim.run_until(seconds(63));
+
+  const CreditLedger& lg = rig.escra.controller().credits();
+  ASSERT_EQ(ha->failovers(), 1u);
+  EXPECT_GE(lg.balance_micro(id), banked);
+  EXPECT_EQ(lg.minted_micro(), lg.burned_micro() + lg.outstanding_micro());
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  ha.reset();
+}
+
 }  // namespace
 }  // namespace escra

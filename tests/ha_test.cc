@@ -68,8 +68,8 @@ struct HaRig {
   }
 };
 
-void expect_replica_equals(const ha::ReplicaState& a,
-                           const ha::ReplicaState& b) {
+void expect_replica_equals(const core::ReplicaState& a,
+                           const core::ReplicaState& b) {
   EXPECT_EQ(a.epoch, b.epoch);
   ASSERT_EQ(a.containers.size(), b.containers.size());
   for (const auto& [id, cs] : a.containers) {
@@ -78,6 +78,7 @@ void expect_replica_equals(const ha::ReplicaState& a,
     EXPECT_DOUBLE_EQ(cs.cores, it->second.cores) << "container " << id;
     EXPECT_EQ(cs.mem, it->second.mem) << "container " << id;
     EXPECT_EQ(cs.node, it->second.node) << "container " << id;
+    EXPECT_DOUBLE_EQ(cs.bw_bps, it->second.bw_bps) << "container " << id;
   }
   ASSERT_EQ(a.slots.size(), b.slots.size());
   for (const auto& [key, sl] : a.slots) {
@@ -92,6 +93,16 @@ void expect_replica_equals(const ha::ReplicaState& a,
     EXPECT_EQ(ns.agent_incarnation, it->second.agent_incarnation);
     EXPECT_EQ(ns.dead, it->second.dead);
   }
+  EXPECT_EQ(a.credits, b.credits);
+  EXPECT_EQ(a.credit_minted, b.credit_minted);
+  EXPECT_EQ(a.credit_burned, b.credit_burned);
+  ASSERT_EQ(a.rt.size(), b.rt.size());
+  for (const auto& [id, rs] : a.rt) {
+    const auto it = b.rt.find(id);
+    ASSERT_NE(it, b.rt.end()) << "rt " << id;
+    EXPECT_EQ(rs.spec, it->second.spec) << "rt " << id;
+    EXPECT_DOUBLE_EQ(rs.bw_bps, it->second.bw_bps) << "rt " << id;
+  }
 }
 
 // --- WAL replication ----------------------------------------------------
@@ -103,9 +114,11 @@ TEST(HaTest, WalStreamMirrorsLeaderBookOnEveryStandby) {
   rig.sim.run_until(seconds(2) + milliseconds(17));
 
   EXPECT_GT(rig.ha->wal_appends(), 0u);
+  const core::ReplicaState image = rig.escra.controller().image();
   for (int rank = 0; rank < 2; ++rank) {
     SCOPED_TRACE("standby rank " + std::to_string(rank));
     expect_replica_equals(rig.ha->book(), rig.ha->standby_replica(rank));
+    expect_replica_equals(image, rig.ha->standby_replica(rank));
   }
 }
 
@@ -113,7 +126,7 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
   // Folding any record prefix in index order gives the same state no matter
   // who holds it — replay a synthetic log twice, in one pass and split
   // across two ReplicaStates joined by copy.
-  using Kind = core::Controller::ReplicationEvent::Kind;
+  using Kind = core::ReplicationEvent::Kind;
   constexpr cluster::ContainerId kId = 7;
   const auto event = [](Kind kind) {
     ha::WalRecord r;
@@ -153,20 +166,20 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
   }
   for (const auto& r : records) log.append(r);
 
-  ha::ReplicaState one_pass;
+  core::ReplicaState one_pass;
   for (std::uint64_t i = log.base(); i < log.next_index(); ++i) {
-    one_pass.apply(log.at(i));
+    ha::fold(one_pass, log.at(i));
   }
-  ha::ReplicaState prefix;
-  for (std::uint64_t i = 0; i < 3; ++i) prefix.apply(log.at(i));
-  ha::ReplicaState resumed = prefix;  // handoff mid-log
+  core::ReplicaState prefix;
+  for (std::uint64_t i = 0; i < 3; ++i) ha::fold(prefix, log.at(i));
+  core::ReplicaState resumed = prefix;  // handoff mid-log
   for (std::uint64_t i = 3; i < log.next_index(); ++i) {
-    resumed.apply(log.at(i));
+    ha::fold(resumed, log.at(i));
   }
   expect_replica_equals(one_pass, resumed);
 
   EXPECT_EQ(one_pass.epoch, 3u);
-  const ha::ReplicaState::ContainerState& shadow = one_pass.containers.at(kId);
+  const core::ReplicaState::ContainerState& shadow = one_pass.containers.at(kId);
   EXPECT_DOUBLE_EQ(shadow.cores, 3.0);
   EXPECT_EQ(shadow.mem, 320 * kMiB);
   EXPECT_DOUBLE_EQ(shadow.bw_bps, 2e6);
@@ -292,7 +305,7 @@ TEST(HaTest, DeposedLeaderIsFencedAndCanNeverMoveACgroup) {
             core::Agent::Apply::kFenced);
   EXPECT_DOUBLE_EQ(victim->cpu_cgroup().limit_cores(), limit_before);
 
-  // The ghost abdicates within ghost_abdicate (500 ms) and the cluster
+  // The ghost abdicates within 500 ms and the cluster
   // stays coherent throughout: no split-brain, monotonic epochs.
   rig.sim.run_until(seconds(2) + milliseconds(200));
   EXPECT_FALSE(rig.ha->ghost_active());

@@ -480,7 +480,7 @@ TEST(RtHaTest, TakeoverRebuildsTheAdmittedSetExactlyOnce) {
 
   // The reservations rode the WAL: every standby's replica carries them.
   ASSERT_EQ(ha.standby_replica(0).rt.size(), 2u);
-  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).runtime,
+  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).spec.runtime,
             milliseconds(20));
 
   sim.schedule_at(seconds(2) + milliseconds(1), [&] { ha.kill_leader(); });
@@ -500,6 +500,49 @@ TEST(RtHaTest, TakeoverRebuildsTheAdmittedSetExactlyOnce) {
   EXPECT_EQ(containers[0]->deadline_misses(), 0u);
   EXPECT_EQ(containers[1]->deadline_misses(), 0u);
   EXPECT_TRUE(checker.ok()) << checker.report();
+}
+
+TEST(RtHaTest, ReservationAdmittedBeforeHaAttachSurvivesTakeover) {
+  // The reservation predates HA, so no kRt record ever streams: the
+  // standbys learn it only from the leader book HA seeds at attach time.
+  sim::Simulation sim;
+  net::Network net(sim);
+  cluster::Cluster k8s(sim);
+  core::EscraSystem escra(sim, net, k8s, 8.0, 4 * kGiB);
+  obs::Observer observer;
+  std::vector<cluster::Container*> containers;
+  k8s.add_node({});
+  k8s.add_node({});
+  cluster::ContainerSpec spec;
+  spec.base_memory = 64 * kMiB;
+  spec.max_parallelism = 8.0;
+  for (int i = 0; i < 4; ++i) {
+    spec.name = "c" + std::to_string(i);
+    containers.push_back(&k8s.create_container(spec, 1.0, 256 * kMiB));
+  }
+  escra.attach_observer(observer);
+  escra.manage(containers);
+  escra.start();
+  check::InvariantChecker checker(escra, net, observer);
+  std::optional<ha::HaControlPlane> ha;
+
+  sim.run_until(seconds(1));
+  ASSERT_EQ(escra.admit_rt(*containers[0], spec_ms(20, 50, 100)),
+            Controller::RtAdmit::kAdmitted);
+  sim.run_until(seconds(2));
+  ha.emplace(escra, net, ha::HaConfig{.standbys = 2});
+  ha->start();
+  sim.schedule_at(seconds(2) + milliseconds(500), [&] { ha->kill_leader(); });
+  sim.run_until(seconds(6));
+
+  ASSERT_EQ(ha->failovers(), 1u);
+  const cluster::ContainerId id = containers[0]->id();
+  EXPECT_TRUE(escra.rt_admitted(id));
+  EXPECT_DOUBLE_EQ(escra.rt_reserved_cores(), 0.4);
+  EXPECT_GE(escra.app().member_cores(id), 0.4 - 1e-6);
+  EXPECT_EQ(containers[0]->deadline_misses(), 0u);
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  ha.reset();
 }
 
 // --- shards --------------------------------------------------------------
