@@ -47,13 +47,30 @@
 // A determinism phase additionally asserts sweep_parallel checksums are
 // identical at --jobs 1 and --jobs 4 on fresh identical planes.
 //
-//   shard_scale [--out FILE] [--check FILE] [--tolerance X] [--quick]
+//   shard_scale [--out FILE] [--check FILE] [--rss-check FILE]
+//               [--tolerance X] [--quick]
 //
 // --quick shrinks to 200 nodes / 2k containers and shard counts {1, 4}
-// (functional smoke; the ratio assertions relax accordingly). --check
-// compares decision_ns and the throughput ratio against a committed
-// baseline JSON and exits 1 on regression beyond --tolerance (default
-// 0.25).
+// (functional smoke; the ratio assertions relax accordingly). Its sweeps
+// last tens of microseconds, so one preempted sample can tip a 1.25x
+// bound: quick mode therefore rebuilds and re-times every point several
+// times, interleaved across shard counts, and keeps each shard's minimum
+// over all repeats (the same best-of-N estimator, over more samples). Every
+// repeat must make the same decisions.
+//
+// --check compares against a committed baseline JSON and exits 1 when any
+// point's `decisions` count differs from the baseline's (deterministic
+// work, gated exactly), or when decision_ns or the throughput ratio
+// regress beyond --tolerance (default 0.25).
+//
+// --rss-check gates memory instead of time: the full run's peak resident
+// set (VmHWM) divided by its container count must not exceed the baseline's
+// peak_rss_kib_per_container plus --tolerance. It is a run of its own (no
+// --quick, no --check): the wall-clock flatness and ratio assertions are
+// left to the --check run.
+//
+// --out is written before any assertion is evaluated, so a failing run
+// still leaves its numbers behind.
 
 #include <algorithm>
 #include <chrono>
@@ -62,6 +79,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,7 +103,6 @@ double wall_seconds(std::chrono::steady_clock::time_point start) {
 struct ScalePoint {
   int shards = 0;
   std::uint64_t containers = 0;
-  std::uint64_t msgs = 0;
   std::uint64_t decisions = 0;
   std::uint64_t max_shard_containers = 0;
   double decision_ns = 0.0;       // sum of per-shard minima / msgs per period
@@ -99,12 +116,33 @@ struct Config {
   int apps = 2'000;
   int containers_per_app = 50;
   int periods = 8;
+  int repeats = 1;  // fresh-plane measurements per point, interleaved
   std::vector<int> shard_counts = {1, 2, 4, 8, 16};
 };
 
-// One full measurement at a given shard count: build the plane, register
-// the population, then time each shard's per-period telemetry batch.
-ScalePoint measure(const Config& cfg, int shards) {
+// Peak resident set (VmHWM) in KiB; 0 where /proc is unavailable.
+long peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+// One timed sweep of a freshly built plane: per shard, the best batch time
+// over periods and the batch size.
+struct Sweep {
+  std::vector<double> best_s;
+  std::vector<std::uint64_t> sizes;
+  std::uint64_t decisions = 0;
+};
+
+// Builds the plane, registers the population, then times each shard's
+// per-period telemetry batch.
+Sweep sweep_once(const Config& cfg, int shards) {
   sim::Simulation sim;
   net::Network net(sim);
   cluster::Cluster k8s(sim);
@@ -149,14 +187,8 @@ ScalePoint measure(const Config& cfg, int shards) {
     by_shard[plane.shard_of_container(c->id())].push_back(m);
   }
 
-  ScalePoint pt;
-  pt.shards = shards;
-  pt.containers = total;
-  for (const auto& batch : by_shard) {
-    pt.max_shard_containers =
-        std::max(pt.max_shard_containers,
-                 static_cast<std::uint64_t>(batch.size()));
-  }
+  Sweep sw;
+  for (const auto& batch : by_shard) sw.sizes.push_back(batch.size());
 
   std::uint64_t decisions_before = 0;
   for (int s = 0; s < shards; ++s) {
@@ -180,7 +212,6 @@ ScalePoint measure(const Config& cfg, int shards) {
       const auto t0 = std::chrono::steady_clock::now();
       for (const core::CpuStatsMsg& m : by_shard[s]) controller.on_cpu_stats(m);
       dt_by_shard[s].push_back(wall_seconds(t0));
-      pt.msgs += by_shard[s].size();
     }
     // Limit RPCs drain off the timed path: wire delivery is identical at
     // every shard count, and the question here is controller-side cost.
@@ -188,17 +219,10 @@ ScalePoint measure(const Config& cfg, int shards) {
   }
 
   // Per-shard best-of-N over periods (noise-robust — see the methodology
-  // note at the top), then critical-path model.
-  double sum_best_s = 0.0;
-  double critical_s = 0.0;
-  double critical_ns_per_c = 0.0;
+  // note at the top).
   for (int s = 0; s < shards; ++s) {
-    const double t =
-        *std::min_element(dt_by_shard[s].begin(), dt_by_shard[s].end());
-    sum_best_s += t;
-    critical_s = std::max(critical_s, t);
-    critical_ns_per_c = std::max(
-        critical_ns_per_c, t * 1e9 / static_cast<double>(by_shard[s].size()));
+    sw.best_s.push_back(
+        *std::min_element(dt_by_shard[s].begin(), dt_by_shard[s].end()));
   }
 
   std::uint64_t decisions_after = 0;
@@ -206,7 +230,39 @@ ScalePoint measure(const Config& cfg, int shards) {
     decisions_after += plane.shard(s).allocator().cpu_scale_ups() +
                        plane.shard(s).allocator().cpu_scale_downs();
   }
-  pt.decisions = decisions_after - decisions_before;
+  sw.decisions = decisions_after - decisions_before;
+  return sw;
+}
+
+// Folds another sweep of the same point into `best`: per-shard minima.
+// Returns false when the two disagree on the deterministic work.
+bool merge_sweep(Sweep& best, const Sweep& other) {
+  if (other.decisions != best.decisions || other.sizes != best.sizes) {
+    return false;
+  }
+  for (std::size_t s = 0; s < best.best_s.size(); ++s) {
+    best.best_s[s] = std::min(best.best_s[s], other.best_s[s]);
+  }
+  return true;
+}
+
+// The critical-path model over per-shard best times.
+ScalePoint to_point(int shards, std::uint64_t total, const Sweep& sw) {
+  ScalePoint pt;
+  pt.shards = shards;
+  pt.containers = total;
+  pt.decisions = sw.decisions;
+  double sum_best_s = 0.0;
+  double critical_s = 0.0;
+  double critical_ns_per_c = 0.0;
+  for (std::size_t s = 0; s < sw.best_s.size(); ++s) {
+    const double t = sw.best_s[s];
+    pt.max_shard_containers = std::max(pt.max_shard_containers, sw.sizes[s]);
+    sum_best_s += t;
+    critical_s = std::max(critical_s, t);
+    critical_ns_per_c = std::max(
+        critical_ns_per_c, t * 1e9 / static_cast<double>(sw.sizes[s]));
+  }
   const double msgs_per_period = static_cast<double>(total);
   pt.decision_ns = sum_best_s * 1e9 / msgs_per_period;
   pt.sweep_ms = critical_s * 1e3;
@@ -283,7 +339,8 @@ int determinism_phase() {
 
 // --- output / baseline check ----------------------------------------------
 
-std::string to_json(const std::vector<ScalePoint>& points) {
+std::string to_json(const std::vector<ScalePoint>& points,
+                    double peak_rss_kib_per_c) {
   std::ostringstream out;
   const ScalePoint& first = points.front();
   const ScalePoint& last = points.back();
@@ -296,9 +353,11 @@ std::string to_json(const std::vector<ScalePoint>& points) {
   std::snprintf(buf, sizeof(buf),
                 "  \"decision_ns_max\": %.1f,\n"
                 "  \"throughput_ratio\": %.2f,\n"
-                "  \"sweep_flatness\": %.3f,\n",
+                "  \"sweep_flatness\": %.3f,\n"
+                "  \"peak_rss_kib_per_container\": %.2f,\n",
                 last.decision_ns, last.agg_msgs_per_s / first.agg_msgs_per_s,
-                last.critical_ns_per_c / first.critical_ns_per_c);
+                last.critical_ns_per_c / first.critical_ns_per_c,
+                peak_rss_kib_per_c);
   out << buf;
   out << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -316,32 +375,85 @@ std::string to_json(const std::vector<ScalePoint>& points) {
   return out.str();
 }
 
-bool find_number(const std::string& json, const char* key, double* out) {
+bool find_number(const std::string& json, const char* key, double* out,
+                 std::size_t from = 0) {
   const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
+  const std::size_t pos = json.find(needle, from);
   if (pos == std::string::npos) return false;
   *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
   return true;
 }
 
-int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
-                  double tolerance) {
+bool read_baseline(const std::string& path, std::string* json) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "shard_scale: cannot read baseline %s\n",
                  path.c_str());
-    return 1;
+    return false;
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string json = ss.str();
+  *json = ss.str();
+  return true;
+}
+
+// The baseline's per-point (shards, decisions) pairs, in file order.
+std::vector<std::pair<int, std::uint64_t>> baseline_decisions(
+    const std::string& json) {
+  std::vector<std::pair<int, std::uint64_t>> out;
+  std::size_t pos = json.find("\"points\"");
+  while (pos != std::string::npos) {
+    pos = json.find("{", pos);
+    if (pos == std::string::npos) break;
+    double shards = 0.0;
+    double decisions = 0.0;
+    if (!find_number(json, "shards", &shards, pos) ||
+        !find_number(json, "decisions", &decisions, pos)) {
+      break;
+    }
+    out.emplace_back(static_cast<int>(shards),
+                     static_cast<std::uint64_t>(decisions));
+    pos = json.find("}", pos);
+  }
+  return out;
+}
+
+int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
+                  double tolerance) {
+  std::string json;
+  if (!read_baseline(path, &json)) return 1;
   double base_ns = 0.0;
   double base_ratio = 0.0;
+  const auto base_points = baseline_decisions(json);
   if (!find_number(json, "decision_ns_1", &base_ns) ||
-      !find_number(json, "throughput_ratio", &base_ratio)) {
+      !find_number(json, "throughput_ratio", &base_ratio) ||
+      base_points.empty()) {
     std::fprintf(stderr, "shard_scale: baseline %s missing fields\n",
                  path.c_str());
     return 1;
+  }
+  int failures = 0;
+  // Decisions are deterministic work: any difference is a behaviour change,
+  // not noise, so they are compared exactly.
+  if (base_points.size() != pts.size()) {
+    std::fprintf(stderr,
+                 "shard_scale: DECISIONS DIFFER — %zu points vs %zu in the "
+                 "baseline\n",
+                 pts.size(), base_points.size());
+    ++failures;
+  } else {
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (pts[i].shards != base_points[i].first ||
+          pts[i].decisions != base_points[i].second) {
+        std::fprintf(stderr,
+                     "shard_scale: DECISIONS DIFFER — %" PRIu64
+                     " decisions at %d shards vs baseline %" PRIu64
+                     " at %d shards\n",
+                     pts[i].decisions, pts[i].shards, base_points[i].second,
+                     base_points[i].first);
+        ++failures;
+      }
+    }
   }
   const double fresh_ns = pts.front().decision_ns;
   const double fresh_ratio =
@@ -352,7 +464,7 @@ int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
                  "%.1f (baseline %.1f plus %.0f%% tolerance)\n",
                  fresh_ns, base_ns * (1.0 + tolerance), base_ns,
                  tolerance * 100.0);
-    return 1;
+    ++failures;
   }
   if (fresh_ratio < base_ratio * (1.0 - tolerance)) {
     std::fprintf(stderr,
@@ -360,11 +472,44 @@ int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
                  "below %.2f (baseline %.2f minus %.0f%% tolerance)\n",
                  fresh_ratio, base_ratio * (1.0 - tolerance), base_ratio,
                  tolerance * 100.0);
+    ++failures;
+  }
+  if (failures > 0) return 1;
+  std::printf("shard_scale: ok — decisions identical at all %zu points, "
+              "%.1f ns/decision vs baseline %.1f, throughput ratio %.2f vs "
+              "baseline %.2f (tolerance %.0f%%)\n",
+              pts.size(), fresh_ns, base_ns, fresh_ratio, base_ratio,
+              tolerance * 100.0);
+  return 0;
+}
+
+int rss_check_against(const std::string& path, double peak_rss_kib_per_c,
+                      double tolerance) {
+  std::string json;
+  if (!read_baseline(path, &json)) return 1;
+  double base = 0.0;
+  if (!find_number(json, "peak_rss_kib_per_container", &base) || base <= 0.0) {
+    std::fprintf(stderr,
+                 "shard_scale: baseline %s has no peak_rss_kib_per_container\n",
+                 path.c_str());
     return 1;
   }
-  std::printf("shard_scale: ok — %.1f ns/decision vs baseline %.1f, "
-              "throughput ratio %.2f vs baseline %.2f (tolerance %.0f%%)\n",
-              fresh_ns, base_ns, fresh_ratio, base_ratio, tolerance * 100.0);
+  if (peak_rss_kib_per_c <= 0.0) {
+    std::fprintf(stderr, "shard_scale: /proc/self/status unavailable; "
+                         "skipping RSS check\n");
+    return 0;
+  }
+  const double ceiling = base * (1.0 + tolerance);
+  if (peak_rss_kib_per_c > ceiling) {
+    std::fprintf(stderr,
+                 "shard_scale: RSS REGRESSION — peak %.2f KiB/container is "
+                 "above %.2f (baseline %.2f plus %.0f%% tolerance)\n",
+                 peak_rss_kib_per_c, ceiling, base, tolerance * 100.0);
+    return 1;
+  }
+  std::printf("shard_scale: rss ok — peak %.2f KiB/container vs baseline "
+              "%.2f (tolerance %.0f%%)\n",
+              peak_rss_kib_per_c, base, tolerance * 100.0);
   return 0;
 }
 
@@ -373,6 +518,7 @@ int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
 int main(int argc, char** argv) {
   std::string out_path;
   std::string check_path;
+  std::string rss_path;
   double tolerance = 0.25;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -388,6 +534,8 @@ int main(int argc, char** argv) {
       out_path = next();
     } else if (flag == "--check") {
       check_path = next();
+    } else if (flag == "--rss-check") {
+      rss_path = next();
     } else if (flag == "--tolerance") {
       tolerance = std::strtod(next(), nullptr);
     } else if (flag == "--quick") {
@@ -395,9 +543,14 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: shard_scale [--out FILE] [--check FILE] "
-                   "[--tolerance X] [--quick]\n");
+                   "[--rss-check FILE] [--tolerance X] [--quick]\n");
       return 2;
     }
+  }
+  if (!rss_path.empty() && (quick || !check_path.empty())) {
+    std::fprintf(stderr, "shard_scale: --rss-check is its own full "
+                         "100k-container run; drop --quick and --check\n");
+    return 2;
   }
 
   Config cfg;
@@ -406,19 +559,57 @@ int main(int argc, char** argv) {
     cfg.apps = 40;
     cfg.containers_per_app = 50;
     cfg.periods = 4;
+    cfg.repeats = 15;
     cfg.shard_counts = {1, 4};
   }
 
   if (determinism_phase() != 0) return 1;
 
+  // Repeats are interleaved across shard counts so a noisy stretch of the
+  // host taxes every point alike instead of one point's whole sample.
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(cfg.apps) * cfg.containers_per_app;
+  std::vector<Sweep> sweeps(cfg.shard_counts.size());
+  for (int r = 0; r < cfg.repeats; ++r) {
+    for (std::size_t i = 0; i < cfg.shard_counts.size(); ++i) {
+      const Sweep sw = sweep_once(cfg, cfg.shard_counts[i]);
+      if (r == 0) {
+        sweeps[i] = sw;
+      } else if (!merge_sweep(sweeps[i], sw)) {
+        std::fprintf(stderr,
+                     "shard_scale: NONDETERMINISM — repeat %d at %d shards "
+                     "made %" PRIu64 " decisions, the first made %" PRIu64
+                     "\n",
+                     r + 1, cfg.shard_counts[i], sw.decisions,
+                     sweeps[i].decisions);
+        return 1;
+      }
+    }
+  }
   std::vector<ScalePoint> points;
-  for (const int shards : cfg.shard_counts) {
-    points.push_back(measure(cfg, shards));
+  for (std::size_t i = 0; i < cfg.shard_counts.size(); ++i) {
+    points.push_back(to_point(cfg.shard_counts[i], total, sweeps[i]));
     const ScalePoint& p = points.back();
     std::printf("shard_scale: shards=%2d decision_ns=%.1f sweep_ms=%.3f "
-                "agg_msgs_per_s=%.0f max_shard_containers=%" PRIu64 "\n",
+                "agg_msgs_per_s=%.0f max_shard_containers=%" PRIu64
+                " decisions=%" PRIu64 "\n",
                 p.shards, p.decision_ns, p.sweep_ms, p.agg_msgs_per_s,
-                p.max_shard_containers);
+                p.max_shard_containers, p.decisions);
+  }
+  const double peak_rss_kib_per_c =
+      static_cast<double>(peak_rss_kib()) / static_cast<double>(total);
+  std::printf("shard_scale: peak rss %.2f KiB/container (%" PRIu64
+              " containers)\n",
+              peak_rss_kib_per_c, total);
+
+  const std::string json = to_json(points, peak_rss_kib_per_c);
+  if (!out_path.empty()) {
+    std::ofstream out(out_path);
+    out << json;
+  }
+  if (!rss_path.empty()) {
+    std::fputs(json.c_str(), stdout);
+    return rss_check_against(rss_path, peak_rss_kib_per_c, tolerance);
   }
 
   const ScalePoint& first = points.front();
@@ -457,12 +648,7 @@ int main(int argc, char** argv) {
               "%.2fx\n",
               points.back().shards, ratio);
 
-  const std::string json = to_json(points);
   std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
   if (!check_path.empty() && !quick) {
     return check_against(check_path, points, tolerance);
   }

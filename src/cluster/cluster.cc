@@ -1,6 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace escra::cluster {
@@ -23,44 +22,48 @@ Container& Cluster::create_container(ContainerSpec spec, double initial_cores,
       if (n->container_count() < target->container_count()) target = n.get();
     }
   }
-  containers_.push_back(std::make_unique<Container>(
-      sim_, next_id_++, std::move(spec), target->config().cfs_period,
-      initial_cores, initial_mem_limit));
-  Container& c = *containers_.back();
+  const auto id = static_cast<ContainerId>(by_id_.size() + 1);
+  by_id_.push_back({std::make_unique<Container>(
+                        sim_, id, std::move(spec), target->config().cfs_period,
+                        initial_cores, initial_mem_limit),
+                    target});
+  Container& c = *by_id_.back().container;
   target->attach(c);
-  container_nodes_.emplace_back(&c, target);
+  ++live_containers_;
   if (observer_) observer_(c, *target);
   return c;
 }
 
+const Cluster::Placement* Cluster::placement(ContainerId id) const {
+  return id >= 1 && id <= by_id_.size() ? &by_id_[id - 1] : nullptr;
+}
+
 void Cluster::remove_container(Container& container) {
-  Node* node = node_of(container.id());
-  if (node != nullptr) node->detach(container);
-  std::erase_if(container_nodes_,
-                [&](const auto& p) { return p.first == &container; });
-  std::erase_if(containers_,
-                [&](const auto& c) { return c.get() == &container; });
+  if (find_container(container.id()) != &container) return;
+  Placement& entry = by_id_[container.id() - 1];
+  entry.node->detach(container);
+  entry.node = nullptr;
+  entry.container.reset();
+  --live_containers_;
 }
 
 std::vector<Container*> Cluster::containers() const {
   std::vector<Container*> out;
-  out.reserve(container_nodes_.size());
-  for (const auto& [c, n] : container_nodes_) out.push_back(c);
+  out.reserve(live_containers_);
+  for (const Placement& p : by_id_) {
+    if (p.container != nullptr) out.push_back(p.container.get());
+  }
   return out;
 }
 
 Container* Cluster::find_container(ContainerId id) const {
-  for (const auto& [c, n] : container_nodes_) {
-    if (c->id() == id) return c;
-  }
-  return nullptr;
+  const Placement* p = placement(id);
+  return p == nullptr ? nullptr : p->container.get();
 }
 
 Node* Cluster::node_of(ContainerId id) const {
-  for (const auto& [c, n] : container_nodes_) {
-    if (c->id() == id) return n;
-  }
-  return nullptr;
+  const Placement* p = placement(id);
+  return p == nullptr ? nullptr : p->node;
 }
 
 }  // namespace escra::cluster

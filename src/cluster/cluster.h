@@ -41,21 +41,30 @@ class Cluster {
   void set_container_observer(ContainerObserver obs) { observer_ = std::move(obs); }
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
+  // Live containers in creation (= id) order.
   std::vector<Container*> containers() const;
   Container* find_container(ContainerId id) const;
   Node* node_of(ContainerId id) const;
-  std::size_t container_count() const { return container_nodes_.size(); }
+  std::size_t container_count() const { return live_containers_; }
 
   sim::Simulation& simulation() { return sim_; }
 
  private:
+  // A container and the node it runs on, owned by the cluster.
+  struct Placement {
+    std::unique_ptr<Container> container;
+    Node* node = nullptr;
+  };
+  // The entry for `id`, or null for an id never handed out.
+  const Placement* placement(ContainerId id) const;
+
   sim::Simulation& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Container>> containers_;
-  // Parallel map: container id -> owning node (index aligned with containers_).
-  std::vector<std::pair<Container*, Node*>> container_nodes_;
+  // Indexed by id - 1: ids are handed out densely from 1 and never reused,
+  // so every lookup is one load. A removed container leaves an empty entry.
+  std::vector<Placement> by_id_;
+  std::size_t live_containers_ = 0;
   ContainerObserver observer_;
-  ContainerId next_id_ = 1;
   NodeId next_node_id_ = 0;
 };
 

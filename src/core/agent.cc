@@ -88,7 +88,7 @@ Agent::Apply Agent::apply_limit(cluster::ContainerId id, Limit limit,
     return Apply::kRejected;
   }
   const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return Apply::kRejected;
+  if (slot == SparseContainerIndex::kInvalid) return Apply::kRejected;
   std::uint64_t& newest =
       seq_[static_cast<std::size_t>(slot) * 3 +
            static_cast<std::size_t>(limit.resource)];

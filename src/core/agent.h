@@ -161,10 +161,12 @@ class Agent {
   cluster::Node& node_;
   // Managed containers interned to dense slots; the hot per-container state
   // (container pointer + newest applied sequence per resource) lives in
-  // slot-indexed struct-of-arrays so the per-RPC apply path is a direct
-  // load, and the reclaim sweep walks containers densely. `seq_` is indexed
-  // slot * 3 + resource.
-  ContainerIndex index_;
+  // slot-indexed struct-of-arrays, and the reclaim sweep walks containers
+  // densely. `seq_` is indexed slot * 3 + resource. The id map is sparse:
+  // there is one Agent per (shard, node), each holding only its node's
+  // containers, so a table direct-mapped up to the largest cluster-wide id
+  // would dwarf what it holds.
+  SparseContainerIndex index_;
   std::vector<cluster::Container*> containers_;
   std::vector<std::uint64_t> seq_;
   obs::Observer* obs_ = nullptr;

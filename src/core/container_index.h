@@ -9,6 +9,20 @@
 // load instead of a hash probe, and dense iteration instead of
 // unordered_map walk order.
 //
+// The id -> slot map itself comes in two shapes, chosen by how many tables
+// of that kind exist:
+//   * ContainerIndex (DenseIdMap) is direct-mapped: 4 B per id up to the
+//     largest id seen. Right for the handful of controller-wide tables
+//     (Controller, ResourceAllocator, DistributedContainer), which hold
+//     most of the cluster and sit on the per-telemetry decision path.
+//   * SparseContainerIndex (SparseIdMap) hashes: its size follows the ids
+//     it holds, not their magnitude. Right for the per-node Agent tables —
+//     one per (shard, node), each holding the few containers on its node —
+//     where a direct map would cost 4 B x the largest cluster-wide id per
+//     node (gigabytes at 10k nodes / 100k containers).
+// Both share the slot, free-list, generation and iteration logic below, so
+// slot assignment is identical whichever map sits underneath.
+//
 // Properties the rest of the tree relies on (locked by
 // tests/container_index_test.cc):
 //   * Determinism. Slot assignment is a pure function of the intern/release
@@ -26,18 +40,57 @@
 // ContainerId — slots are a process-local acceleration, never serialized.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/container.h"
 
 namespace escra::core {
 
-class ContainerIndex {
+// Sentinel for "no slot". All-ones so a branchless `slot < size` check
+// also rejects it.
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+// Direct-mapped id -> slot: one load per lookup.
+class DenseIdMap {
  public:
-  // Sentinel for "no slot". All-ones so a branchless `slot < size` check
-  // also rejects it.
-  static constexpr std::uint32_t kInvalid = 0xffffffffu;
+  std::uint32_t find(cluster::ContainerId id) const {
+    return id < slots_.size() ? slots_[id] : kNoSlot;
+  }
+  void set(cluster::ContainerId id, std::uint32_t slot) {
+    if (id >= slots_.size()) {
+      slots_.resize(static_cast<std::size_t>(id) + 1, kNoSlot);
+    }
+    slots_[id] = slot;
+  }
+  void erase(cluster::ContainerId id) { slots_[id] = kNoSlot; }
+  void clear() { slots_.clear(); }
+
+ private:
+  std::vector<std::uint32_t> slots_;
+};
+
+// Hashed id -> slot: footprint proportional to the ids held.
+class SparseIdMap {
+ public:
+  std::uint32_t find(cluster::ContainerId id) const {
+    const auto it = slots_.find(id);
+    return it == slots_.end() ? kNoSlot : it->second;
+  }
+  void set(cluster::ContainerId id, std::uint32_t slot) { slots_[id] = slot; }
+  void erase(cluster::ContainerId id) { slots_.erase(id); }
+  void clear() { slots_.clear(); }
+
+ private:
+  std::unordered_map<cluster::ContainerId, std::uint32_t> slots_;
+};
+
+template <typename IdMap>
+class BasicContainerIndex {
+ public:
+  static constexpr std::uint32_t kInvalid = kNoSlot;
 
   // A generation-tagged reference to a slot. Resolves only while the slot's
   // current tenant is the one the handle was taken against.
@@ -51,11 +104,11 @@ class ContainerIndex {
   // arrays by one. `created` (optional) reports which case happened so the
   // caller knows to (re)initialize its per-slot state.
   std::uint32_t intern(cluster::ContainerId id, bool* created = nullptr) {
-    if (id < id_to_slot_.size() && id_to_slot_[id] != kInvalid) {
+    const std::uint32_t known = id_to_slot_.find(id);
+    if (known != kInvalid) {
       if (created != nullptr) *created = false;
-      return id_to_slot_[id];
+      return known;
     }
-    if (id >= id_to_slot_.size()) id_to_slot_.resize(id + 1, kInvalid);
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -68,7 +121,7 @@ class ContainerIndex {
       gen_.push_back(0);
       live_.push_back(1);
     }
-    id_to_slot_[id] = slot;
+    id_to_slot_.set(id, slot);
     ++size_;
     if (created != nullptr) *created = true;
     return slot;
@@ -76,7 +129,7 @@ class ContainerIndex {
 
   // Slot for `id`, or kInvalid if the id is not interned.
   std::uint32_t find(cluster::ContainerId id) const {
-    return id < id_to_slot_.size() ? id_to_slot_[id] : kInvalid;
+    return id_to_slot_.find(id);
   }
 
   bool contains(cluster::ContainerId id) const { return find(id) != kInvalid; }
@@ -88,7 +141,7 @@ class ContainerIndex {
   std::uint32_t release(cluster::ContainerId id) {
     const std::uint32_t slot = find(id);
     if (slot == kInvalid) return kInvalid;
-    id_to_slot_[id] = kInvalid;
+    id_to_slot_.erase(id);
     live_[slot] = 0;
     ++gen_[slot];
     free_.push_back(slot);
@@ -141,15 +194,15 @@ class ContainerIndex {
   }
 
  private:
-  // Direct-mapped id -> slot. Container ids in this tree are small and
-  // sequential (Cluster hands them out densely), so a flat vector beats a
-  // hash table in both lookup cost and footprint.
-  std::vector<std::uint32_t> id_to_slot_;
+  IdMap id_to_slot_;
   std::vector<cluster::ContainerId> slot_to_id_;
   std::vector<std::uint32_t> gen_;
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_;  // LIFO: hottest slot reused first
   std::size_t size_ = 0;
 };
+
+using ContainerIndex = BasicContainerIndex<DenseIdMap>;
+using SparseContainerIndex = BasicContainerIndex<SparseIdMap>;
 
 }  // namespace escra::core

@@ -35,6 +35,44 @@ TEST(AgentTest, ManageAndUnmanage) {
   EXPECT_FALSE(rig.agent.manages(c.id()));
 }
 
+// The agent's table is sized by what its node holds, not by the largest
+// cluster-wide id: a direct map up to this id would need 12 GB.
+TEST(AgentTest, ManagesContainerIdsFarBeyondTheClusterSize) {
+  Rig rig;
+  cluster::ContainerSpec s;
+  s.name = "far";
+  s.base_memory = 64 * kMiB;
+  constexpr cluster::ContainerId kFar = 3'000'000'000u;
+  cluster::Container far(rig.sim, kFar, std::move(s), sim::milliseconds(100),
+                         1.0, 256 * kMiB);
+  cluster::Container& near = rig.make("near", 1.0, 256 * kMiB);
+
+  rig.agent.manage(far);
+  rig.agent.manage(near);
+  EXPECT_TRUE(rig.agent.manages(kFar));
+  EXPECT_EQ(rig.agent.managed_count(), 2u);
+  EXPECT_EQ(rig.agent.apply_limit(kFar, {core::Resource::kCpu, 2.5}, 1),
+            core::Agent::Apply::kApplied);
+  EXPECT_DOUBLE_EQ(far.cpu_cgroup().limit_cores(), 2.5);
+  EXPECT_EQ(rig.agent.apply_limit(kFar, {core::Resource::kCpu, 3.0}, 1),
+            core::Agent::Apply::kStale);
+
+  rig.agent.unmanage(kFar);
+  EXPECT_FALSE(rig.agent.manages(kFar));
+  EXPECT_EQ(rig.agent.apply_limit(kFar, {core::Resource::kCpu, 3.0}, 2),
+            core::Agent::Apply::kRejected);
+  EXPECT_TRUE(rig.agent.manages(near.id()));
+
+  // Re-managing starts a fresh tenancy: the sequence state is clean.
+  rig.agent.manage(far);
+  EXPECT_EQ(rig.agent.apply_limit(kFar, {core::Resource::kMem, 300.0 * kMiB},
+                                  1),
+            core::Agent::Apply::kApplied);
+  EXPECT_EQ(far.mem_cgroup().limit(), 300 * kMiB);
+  ASSERT_EQ(rig.agent.snapshot().size(), 2u);
+  EXPECT_EQ(rig.agent.snapshot().back().id, kFar) << "snapshot sorted by id";
+}
+
 TEST(AgentTest, ApplyLimitsHitCgroupsDirectly) {
   Rig rig;
   cluster::Container& c = rig.make("a", 1.0, 256 * kMiB);

@@ -125,5 +125,63 @@ TEST(ClusterTest, ContainersListMatchesCreation) {
   EXPECT_EQ(all[1]->name(), "b");
 }
 
+// The serverless reaper removes pods from anywhere in the cluster, not just
+// the tail: every survivor must keep resolving to the same container and
+// node, and the listing must keep creation order around the hole.
+TEST(ClusterTest, RemoveFromTheMiddleKeepsEveryOtherLookup) {
+  sim::Simulation sim;
+  Cluster cluster(sim);
+  cluster.add_node({});
+  cluster.add_node({});
+  cluster.add_node({});
+  std::vector<Container*> created;
+  std::vector<ContainerId> ids;
+  std::vector<Node*> placed;
+  for (int i = 0; i < 7; ++i) {
+    Container& c =
+        cluster.create_container(spec("c" + std::to_string(i)), 0.5, kMiB);
+    created.push_back(&c);
+    ids.push_back(c.id());
+    placed.push_back(cluster.node_of(c.id()));
+    ASSERT_NE(placed.back(), nullptr);
+  }
+  const ContainerId gone = ids[3];
+  Node* const gone_node = placed[3];
+  const std::size_t gone_node_before = gone_node->container_count();
+  cluster.remove_container(*created[3]);
+
+  EXPECT_EQ(cluster.find_container(gone), nullptr);
+  EXPECT_EQ(cluster.node_of(gone), nullptr);
+  EXPECT_EQ(gone_node->container_count(), gone_node_before - 1);
+  EXPECT_EQ(cluster.container_count(), 6u);
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    if (i == 3) continue;
+    EXPECT_EQ(cluster.find_container(ids[i]), created[i]) << i;
+    EXPECT_EQ(cluster.node_of(ids[i]), placed[i]) << i;
+  }
+  const std::vector<Container*> expected = {created[0], created[1],
+                                            created[2], created[4],
+                                            created[5], created[6]};
+  EXPECT_EQ(cluster.containers(), expected) << "creation order, hole skipped";
+
+  // Removal only takes the container the cluster owns under that id; a new
+  // container gets a fresh id and lands at the end of the listing.
+  cluster.remove_container(*created[4]);
+  EXPECT_EQ(cluster.container_count(), 5u);
+  Container stranger(sim, ids[5], spec("stranger"), sim::milliseconds(100),
+                     0.5, kMiB);
+  cluster.remove_container(stranger);
+  EXPECT_EQ(cluster.find_container(ids[5]), created[5])
+      << "a container the cluster does not own is not removed";
+  EXPECT_EQ(cluster.container_count(), 5u);
+  Container& fresh = cluster.create_container(spec("fresh"), 0.5, kMiB);
+  for (const ContainerId id : ids) EXPECT_NE(fresh.id(), id);
+  EXPECT_GT(fresh.id(), ids.back());
+  EXPECT_EQ(cluster.find_container(fresh.id()), &fresh);
+  EXPECT_EQ(cluster.containers().back(), &fresh);
+  EXPECT_EQ(cluster.container_count(), 6u);
+  EXPECT_EQ(cluster.find_container(0), nullptr) << "ids start at 1";
+}
+
 }  // namespace
 }  // namespace escra::cluster

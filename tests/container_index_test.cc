@@ -84,32 +84,57 @@ TEST(ContainerIndexTest, StaleHandlesAreInertAcrossReuseAndReintern) {
 
 // --- deterministic dense iteration ---------------------------------------
 
-// Drives one index through an rng scripted intern/release churn and returns
-// the full observable state: (slot, id) in for_each order.
-std::vector<std::pair<std::uint32_t, cluster::ContainerId>> churn(
-    std::uint64_t seed) {
-  ContainerIndex idx;
+// Everything an index reveals under an rng-scripted intern/release churn:
+// the slot each call returned, then the final (slot, id) for_each order and
+// every slot's generation.
+struct ChurnTrace {
+  std::vector<std::uint32_t> calls;
+  std::vector<std::pair<std::uint32_t, cluster::ContainerId>> order;
+  std::vector<std::uint32_t> generations;
+  bool operator==(const ChurnTrace&) const = default;
+};
+
+// Drives one index through the churn: mostly fresh ids, some releases, and
+// some re-interns of a live id (which must return its existing slot).
+template <typename Index>
+ChurnTrace churn_trace(std::uint64_t seed) {
+  Index idx;
   sim::Rng rng(seed);
+  ChurnTrace trace;
   std::vector<cluster::ContainerId> live;
   cluster::ContainerId next_id = 1;
   for (int step = 0; step < 2000; ++step) {
+    const auto pick = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    };
     if (live.empty() || rng.chance(0.6)) {
       const cluster::ContainerId id = next_id++;
-      idx.intern(id);
+      trace.calls.push_back(idx.intern(id));
       live.push_back(id);
+    } else if (rng.chance(0.2)) {
+      bool created = true;
+      trace.calls.push_back(idx.intern(live[pick()], &created));
+      EXPECT_FALSE(created) << "a live id keeps its slot";
     } else {
-      const std::size_t victim = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      idx.release(live[victim]);
+      const std::size_t victim = pick();
+      trace.calls.push_back(idx.release(live[victim]));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
   }
-  std::vector<std::pair<std::uint32_t, cluster::ContainerId>> order;
   idx.for_each([&](std::uint32_t slot, cluster::ContainerId id) {
-    order.emplace_back(slot, id);
+    trace.order.emplace_back(slot, id);
   });
-  EXPECT_EQ(order.size(), idx.size());
-  return order;
+  EXPECT_EQ(trace.order.size(), idx.size());
+  for (std::uint32_t slot = 0; slot < idx.capacity(); ++slot) {
+    trace.generations.push_back(idx.generation(slot));
+  }
+  return trace;
+}
+
+std::vector<std::pair<std::uint32_t, cluster::ContainerId>> churn(
+    std::uint64_t seed) {
+  return churn_trace<ContainerIndex>(seed).order;
 }
 
 TEST(ContainerIndexTest, DenseIterationIsDeterministicAcrossIdenticalSeeds) {
@@ -128,6 +153,33 @@ TEST(ContainerIndexTest, DenseIterationIsDeterministicAcrossIdenticalSeeds) {
 
   const auto c = churn(0xdecade);
   EXPECT_NE(a, c) << "guard: the churn script actually depends on the seed";
+}
+
+// The Agent's sparse id map must be a drop-in for the controller's dense
+// one: the slot, free-list and generation logic is shared, so the same call
+// sequence yields the same slots, generations and iteration order.
+TEST(ContainerIndexTest, SparseAndDenseMapsAssignIdenticalSlots) {
+  for (const std::uint64_t seed : {0xc0ffeeULL, 0xdecadeULL, 7ULL}) {
+    const ChurnTrace dense = churn_trace<ContainerIndex>(seed);
+    const ChurnTrace sparse = churn_trace<core::SparseContainerIndex>(seed);
+    ASSERT_FALSE(dense.calls.empty());
+    EXPECT_EQ(dense.calls, sparse.calls) << "seed " << seed;
+    EXPECT_EQ(dense.order, sparse.order) << "seed " << seed;
+    EXPECT_EQ(dense.generations, sparse.generations) << "seed " << seed;
+  }
+
+  // Ids far past anything a dense map could hold stay cheap and exact.
+  core::SparseContainerIndex idx;
+  constexpr cluster::ContainerId kHuge = 4'000'000'000u;
+  EXPECT_EQ(idx.intern(kHuge), 0u);
+  EXPECT_EQ(idx.intern(5), 1u);
+  EXPECT_EQ(idx.find(kHuge), 0u);
+  EXPECT_EQ(idx.find(kHuge - 1), core::SparseContainerIndex::kInvalid);
+  const core::SparseContainerIndex::Handle h = idx.handle(kHuge);
+  EXPECT_EQ(idx.release(kHuge), 0u);
+  EXPECT_EQ(idx.resolve(h), core::SparseContainerIndex::kInvalid);
+  EXPECT_EQ(idx.intern(kHuge + 1), 0u) << "LIFO reuse of the freed slot";
+  EXPECT_EQ(idx.generation(0), 1u);
 }
 
 // --- slot layout across controller takeover -------------------------------
