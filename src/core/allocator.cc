@@ -42,11 +42,11 @@ void ResourceAllocator::set_observer(obs::Observer* observer) {
 void ResourceAllocator::register_container(std::uint32_t id, double cores,
                                            memcg::Bytes mem) {
   app_.add_member(id, cores, mem);
-  const std::uint32_t slot = index_.intern(id);
+  const std::uint32_t slot = app_.slot_of(id);
   for (std::size_t arm = 0; arm < kArms; ++arm) {
     if (slot >= windows_[arm].size()) {
-      windows_[arm].resize(index_.capacity(), Windows(config_.window_periods));
-      rt_floor_[arm].resize(index_.capacity(), 0.0);
+      windows_[arm].resize(app_.capacity(), Windows(config_.window_periods));
+      rt_floor_[arm].resize(app_.capacity(), 0.0);
     } else {
       // Slot reuse after a deregister: fresh statistics for the new tenant.
       windows_[arm][slot] = Windows(config_.window_periods);
@@ -56,16 +56,13 @@ void ResourceAllocator::register_container(std::uint32_t id, double cores,
 }
 
 void ResourceAllocator::deregister_container(std::uint32_t id) {
-  const std::uint32_t slot = index_.release(id);
-  if (slot == ContainerIndex::kInvalid) return;
-  for (auto& floors : rt_floor_) floors[slot] = 0.0;
-  app_.remove_member(id);
+  if (app_.is_member(id)) app_.remove_member(id);
 }
 
 void ResourceAllocator::set_rt_floor(std::uint32_t id, double cores,
                                      double bw_bps) {
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return;
+  const std::uint32_t slot = app_.slot_of(id);
+  if (slot == kNoSlot) return;
   rt_floor_[kCpuArm][slot] = std::max(0.0, cores);
   rt_floor_[kBwArm][slot] = std::max(0.0, bw_bps);
 }
@@ -75,14 +72,13 @@ void ResourceAllocator::clear_rt_floor(std::uint32_t id) {
 }
 
 double ResourceAllocator::rt_floor(Resource r, std::uint32_t id) const {
-  const std::uint32_t slot = index_.find(id);
-  return slot == ContainerIndex::kInvalid ? 0.0 : rt_floor_[arm_of(r)][slot];
+  const std::uint32_t slot = app_.slot_of(id);
+  return slot == kNoSlot ? 0.0 : rt_floor_[arm_of(r)][slot];
 }
 
 double ResourceAllocator::floor(Resource r, std::uint32_t id) const {
-  const std::uint32_t slot = index_.find(id);
-  return slot == ContainerIndex::kInvalid ? arms_[arm_of(r)].min
-                                          : floor_at(arm_of(r), slot);
+  const std::uint32_t slot = app_.slot_of(id);
+  return slot == kNoSlot ? arms_[arm_of(r)].min : floor_at(arm_of(r), slot);
 }
 
 double ResourceAllocator::floor_at(Arm arm, std::uint32_t slot) const {
@@ -92,12 +88,7 @@ double ResourceAllocator::floor_at(Arm arm, std::uint32_t slot) const {
   return std::max(arms_[arm].min, rt_floor_[arm][slot]);
 }
 
-void ResourceAllocator::reset() {
-  std::vector<std::uint32_t> ids;
-  ids.reserve(index_.size());
-  index_.for_each([&ids](std::uint32_t, std::uint32_t id) { ids.push_back(id); });
-  for (const std::uint32_t id : ids) deregister_container(id);
-}
+void ResourceAllocator::reset() { app_.clear(); }
 
 double ResourceAllocator::unallocated(Arm arm) const {
   return arm == kCpuArm ? app_.cpu_unallocated() : app_.bw_unallocated();
@@ -109,10 +100,8 @@ double ResourceAllocator::set_member(Arm arm, std::uint32_t id, double value) {
 }
 
 std::optional<double> ResourceAllocator::on_cpu_stats(const CpuStatsMsg& stats) {
-  const std::uint32_t slot = index_.find(stats.cgroup);
-  if (slot == ContainerIndex::kInvalid) {
-    return std::nullopt;  // stale/unknown container
-  }
+  const std::uint32_t slot = app_.slot_of(stats.cgroup);
+  if (slot == kNoSlot) return std::nullopt;  // stale/unknown container
   const double period = static_cast<double>(config_.cfs_period);
   Sample sample;
   sample.throttled = stats.throttled;
@@ -145,8 +134,8 @@ double ResourceAllocator::cpu_grant_ceiling(std::uint32_t id,
 
 std::optional<double> ResourceAllocator::on_bw_stats(
     const bw::BwSample& sample) {
-  const std::uint32_t slot = index_.find(sample.container);
-  if (slot == ContainerIndex::kInvalid) return std::nullopt;
+  const std::uint32_t slot = app_.slot_of(sample.container);
+  if (slot == kNoSlot) return std::nullopt;
   const double current = app_.member_bw(sample.container);
   if (current <= 0.0) return std::nullopt;  // unshaped container
   Sample s;
@@ -228,7 +217,7 @@ std::optional<double> ResourceAllocator::decide(Arm arm, std::uint32_t slot,
 ResourceAllocator::MemDecision ResourceAllocator::on_oom_event(
     const OomEventMsg& event, bool post_reclaim) {
   MemDecision decision;
-  if (!index_.contains(event.container)) {
+  if (!app_.is_member(event.container)) {
     decision.action = MemAction::kDeny;
     return decision;
   }
@@ -279,7 +268,7 @@ ResourceAllocator::MemDecision ResourceAllocator::on_oom_event(
 
 void ResourceAllocator::on_reclaimed(std::uint32_t container,
                                      memcg::Bytes new_limit) {
-  if (!index_.contains(container)) return;
+  if (!app_.is_member(container)) return;
   app_.set_member_mem(container, new_limit);
 }
 

@@ -18,7 +18,6 @@
 
 #include "bw/shaper.h"
 #include "core/config.h"
-#include "core/container_index.h"
 #include "core/credit_ledger.h"
 #include "core/distributed_container.h"
 #include "core/messages.h"
@@ -32,11 +31,13 @@ class ResourceAllocator {
   ResourceAllocator(const EscraConfig& config, DistributedContainer& app);
 
   // --- membership ---
+  // Members join and leave through here (never through app() directly):
+  // the per-slot rows below are sized and reset at registration.
   void register_container(std::uint32_t id, double cores, memcg::Bytes mem);
   void deregister_container(std::uint32_t id);
-  bool knows(std::uint32_t id) const { return index_.contains(id); }
   // Drops every registration (Controller crash: shadow state dies with the
-  // process). Pool commitments return to unallocated; windows are cleared.
+  // process). Pool commitments return to unallocated, and the restarted
+  // seat's registrations get fresh slots with fresh windows.
   void reset();
 
   // --- CPU (Section IV-D1) ---
@@ -165,10 +166,9 @@ class ResourceAllocator {
   obs::Observer* obs_ = nullptr;
   const CreditLedger* credits_ = nullptr;
   std::array<ArmParams, kArms> arms_;
-  // Registered containers interned to dense slots; the per-arm rows below
-  // are indexed by slot, so a container's CPU and bandwidth statistics live
-  // at the same slot. Windows reset at registration.
-  ContainerIndex index_;
+  // Per-arm rows indexed by the Distributed Container's member slot, so a
+  // container's CPU and bandwidth statistics live at the same slot. Windows
+  // and floors reset at registration.
   std::array<std::vector<Windows>, kArms> windows_;
   // Per-slot RT reservation floors (0 = best-effort): the scale-down hot
   // paths read them with no map lookup.

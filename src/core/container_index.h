@@ -1,39 +1,38 @@
 // Dense container-slot interning for the control-plane hot path.
 //
-// Every per-sample structure in the control plane — the Controller's
-// registry and desired-state slots, the Agent's managed table, the
-// allocator's sliding windows, the Distributed Container's member book —
-// used to hash a sparse `cluster::ContainerId` on every lookup. A
-// ContainerIndex interns those ids into contiguous u32 *slots* so hot state
-// can live in struct-of-arrays vectors indexed directly: one predictable
-// load instead of a hash probe, and dense iteration instead of
-// unordered_map walk order.
+// A ContainerIndex interns sparse `cluster::ContainerId`s into contiguous
+// u32 *slots*, so per-container hot state can live in struct-of-arrays
+// vectors indexed directly: one predictable load instead of a hash probe,
+// and dense iteration instead of unordered_map walk order.
 //
-// The id -> slot map itself comes in two shapes, chosen by how many tables
-// of that kind exist:
+// There is one controller-wide table per Distributed Container: its
+// membership is the slot space, and the Resource Allocator's windows and
+// RT floors and the Controller's registry and desired-state rows are
+// indexed by the same slot and sized by its capacity(). Nobody else interns
+// the controller's ids. The id -> slot map comes in two shapes:
 //   * ContainerIndex (DenseIdMap) is direct-mapped: 4 B per id up to the
-//     largest id seen. Right for the handful of controller-wide tables
-//     (Controller, ResourceAllocator, DistributedContainer), which hold
-//     most of the cluster and sit on the per-telemetry decision path.
+//     largest id seen. Right for the one controller-wide table, which holds
+//     most of the cluster and sits on the per-telemetry decision path.
 //   * SparseContainerIndex (SparseIdMap) hashes: its size follows the ids
 //     it holds, not their magnitude. Right for the per-node Agent tables —
 //     one per (shard, node), each holding the few containers on its node —
 //     where a direct map would cost 4 B x the largest cluster-wide id per
 //     node (gigabytes at 10k nodes / 100k containers).
-// Both share the slot, free-list, generation and iteration logic below, so
-// slot assignment is identical whichever map sits underneath.
+// Both share the slot, free-list and iteration logic below, so slot
+// assignment is identical whichever map sits underneath.
 //
 // Properties the rest of the tree relies on (locked by
 // tests/container_index_test.cc):
-//   * Determinism. Slot assignment is a pure function of the intern/release
-//     call sequence (LIFO free-list reuse, ascending growth), so identical
-//     seeds — and a takeover replaying the same registration order — produce
-//     identical slot layouts and identical dense iteration order.
-//   * Generation tags. A released slot's generation bumps before reuse;
-//     a Handle captured before the release no longer resolves. Stale
-//     handles are inert, never aliases of the slot's next tenant.
+//   * Determinism. Slot assignment is a pure function of the intern/release/
+//     clear call sequence (LIFO free-list reuse, ascending growth), so
+//     identical seeds — and a takeover or restart replaying the same
+//     registration order — produce identical slot layouts and identical
+//     dense iteration order.
 //   * Dense iteration. for_each visits live slots in ascending slot order,
 //     skipping holes; after heavy churn the order is still deterministic.
+//   * No stale references. Slots carry no generation tag: a released slot
+//     is reused as is, and owners reset their per-slot rows when intern
+//     reports a new tenant (or unconditionally at registration).
 //
 // External identities (WAL records, replication events, trace events, the
 // `container_id * 4 + resource` slot keys) keep using the stable
@@ -92,13 +91,6 @@ class BasicContainerIndex {
  public:
   static constexpr std::uint32_t kInvalid = kNoSlot;
 
-  // A generation-tagged reference to a slot. Resolves only while the slot's
-  // current tenant is the one the handle was taken against.
-  struct Handle {
-    std::uint32_t slot = kInvalid;
-    std::uint32_t generation = 0;
-  };
-
   // Interns `id`, returning its slot. A known id returns its existing slot;
   // an unknown one takes the most recently freed slot (LIFO) or grows the
   // arrays by one. `created` (optional) reports which case happened so the
@@ -118,7 +110,6 @@ class BasicContainerIndex {
     } else {
       slot = static_cast<std::uint32_t>(slot_to_id_.size());
       slot_to_id_.push_back(id);
-      gen_.push_back(0);
       live_.push_back(1);
     }
     id_to_slot_.set(id, slot);
@@ -134,41 +125,19 @@ class BasicContainerIndex {
 
   bool contains(cluster::ContainerId id) const { return find(id) != kInvalid; }
 
-  // Releases `id`'s slot back to the free list, bumping its generation so
-  // outstanding handles go stale. Returns the freed slot (kInvalid if the
-  // id was not interned). Per-slot side-table state need not be cleared
-  // here: intern reports `created` on reuse so owners reset it then.
+  // Releases `id`'s slot back to the free list. Returns the freed slot
+  // (kInvalid if the id was not interned). Per-slot side-table state need
+  // not be cleared here: intern reports `created` on reuse so owners reset
+  // it then.
   std::uint32_t release(cluster::ContainerId id) {
     const std::uint32_t slot = find(id);
     if (slot == kInvalid) return kInvalid;
     id_to_slot_.erase(id);
     live_[slot] = 0;
-    ++gen_[slot];
     free_.push_back(slot);
     --size_;
     return slot;
   }
-
-  // Generation-tagged handle for a live id; {kInvalid, 0} otherwise.
-  Handle handle(cluster::ContainerId id) const {
-    const std::uint32_t slot = find(id);
-    return slot == kInvalid ? Handle{} : Handle{slot, gen_[slot]};
-  }
-
-  // Resolves a handle: its slot while the tenancy it was taken against is
-  // still current, kInvalid once the slot was released (even if reused).
-  std::uint32_t resolve(Handle h) const {
-    if (h.slot >= live_.size() || live_[h.slot] == 0) return kInvalid;
-    return gen_[h.slot] == h.generation ? h.slot : kInvalid;
-  }
-
-  bool live(std::uint32_t slot) const {
-    return slot < live_.size() && live_[slot] != 0;
-  }
-  cluster::ContainerId id_at(std::uint32_t slot) const {
-    return slot_to_id_[slot];
-  }
-  std::uint32_t generation(std::uint32_t slot) const { return gen_[slot]; }
 
   // Live slot count / total slots ever created (vector length for SoA
   // side tables — index any slot in [0, capacity)).
@@ -184,10 +153,10 @@ class BasicContainerIndex {
     }
   }
 
+  // Forgets every id: the next interns get fresh slots from 0 upwards.
   void clear() {
     id_to_slot_.clear();
     slot_to_id_.clear();
-    gen_.clear();
     live_.clear();
     free_.clear();
     size_ = 0;
@@ -196,7 +165,6 @@ class BasicContainerIndex {
  private:
   IdMap id_to_slot_;
   std::vector<cluster::ContainerId> slot_to_id_;
-  std::vector<std::uint32_t> gen_;
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_;  // LIFO: hottest slot reused first
   std::size_t size_ = 0;

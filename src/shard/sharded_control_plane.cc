@@ -482,7 +482,7 @@ std::uint64_t ShardedControlPlane::sweep_parallel(
         core::EscraSystem& sys = *shards_[i].escra;
         out.reserve(by_shard[i].size());
         for (const core::CpuStatsMsg& msg : by_shard[i]) {
-          if (!sys.allocator().knows(msg.cgroup)) continue;
+          if (!sys.app().is_member(msg.cgroup)) continue;
           const double before = sys.app().member_cores(msg.cgroup);
           const auto cores = sys.allocator().on_cpu_stats(msg);
           if (cores)

@@ -169,7 +169,7 @@ TEST(AllocatorCpuTest, DeregisterReleasesEverything) {
   rig.alloc.deregister_container(1);
   EXPECT_DOUBLE_EQ(rig.app.cpu_unallocated(), 8.0);
   EXPECT_EQ(rig.app.mem_unallocated(), 4 * kGiB);
-  EXPECT_FALSE(rig.alloc.knows(1));
+  EXPECT_FALSE(rig.app.is_member(1));
   EXPECT_NO_THROW(rig.alloc.deregister_container(1));
 }
 
@@ -219,7 +219,7 @@ class AllocatorArmTest : public ::testing::TestWithParam<Resource> {
   // One period of telemetry at the container's current limit: `used` units
   // consumed, throttled or not. Returns the decision in units.
   std::optional<double> feed(std::uint32_t id, bool throttled, double used) {
-    const double limit = alloc->knows(id) ? current(id) : 1.0;
+    const double limit = app->is_member(id) ? current(id) : 1.0;
     std::optional<double> d;
     if (bw()) {
       bw::BwSample s;

@@ -1,10 +1,11 @@
 // core::ContainerIndex: the dense slot interner under every hot-path SoA
-// table. Locks the four properties the rest of the tree leans on — slot
-// reuse hands out fresh generations, stale handles are inert (never aliases
-// of the slot's next tenant), dense iteration is deterministic for a given
-// call sequence, and a controller takeover's replay rebuilds an identical
-// slot layout (slots are a pure function of registration order, so every
-// replica that folds the same log agrees).
+// table. Locks the properties the rest of the tree leans on — released
+// slots are reused LIFO and clear() starts over from slot 0, dense
+// iteration is deterministic for a given call sequence, and a seat that
+// rebuilds the controller's book — a standby's takeover replay or a plain
+// restart's resync — lays the Distributed Container's slots out exactly as
+// a fresh registration in the same order would (slots are a pure function
+// of registration order, so every replica that folds the same log agrees).
 #include "core/container_index.h"
 
 #include <gtest/gtest.h>
@@ -30,67 +31,43 @@ using memcg::kMiB;
 using sim::milliseconds;
 using sim::seconds;
 
-// --- generations & handles ------------------------------------------------
+// --- slot reuse -----------------------------------------------------------
 
-TEST(ContainerIndexTest, ReleaseBumpsGenerationBeforeReuse) {
+TEST(ContainerIndexTest, ReleasedSlotsAreReusedLifo) {
   ContainerIndex idx;
-  const std::uint32_t a = idx.intern(10);
+  idx.intern(10);
   const std::uint32_t b = idx.intern(20);
   idx.intern(30);
   EXPECT_EQ(idx.size(), 3u);
   EXPECT_EQ(idx.capacity(), 3u);
 
-  const ContainerIndex::Handle hb = idx.handle(20);
-  EXPECT_EQ(idx.resolve(hb), b);
-  const std::uint32_t gen_before = idx.generation(b);
-
   EXPECT_EQ(idx.release(20), b);
   EXPECT_FALSE(idx.contains(20));
-  EXPECT_EQ(idx.generation(b), gen_before + 1);
+  EXPECT_EQ(idx.release(20), ContainerIndex::kInvalid) << "already released";
 
-  // LIFO reuse: the next unknown id takes b's slot, under the new
-  // generation — a fresh tenancy, not a resurrection.
+  // LIFO reuse: the next unknown id takes b's slot, reported as a new
+  // tenant so the owner resets the slot's rows.
   bool created = false;
-  const std::uint32_t c = idx.intern(40, &created);
+  EXPECT_EQ(idx.intern(40, &created), b);
   EXPECT_TRUE(created);
-  EXPECT_EQ(c, b);
-  EXPECT_EQ(idx.id_at(c), 40u);
+  EXPECT_EQ(idx.find(40), b);
   EXPECT_EQ(idx.capacity(), 3u) << "reuse must not grow the arrays";
-  EXPECT_NE(idx.handle(40).generation, hb.generation);
-  (void)a;
-}
 
-TEST(ContainerIndexTest, StaleHandlesAreInertAcrossReuseAndReintern) {
-  ContainerIndex idx;
-  idx.intern(1);
-  const std::uint32_t slot = idx.intern(2);
-  const ContainerIndex::Handle h = idx.handle(2);
-
-  idx.release(2);
-  EXPECT_EQ(idx.resolve(h), ContainerIndex::kInvalid) << "released";
-
-  // Even the *same id* coming back lands under a new generation: the old
-  // handle stays dead (its side-table rows may have been reinitialized).
-  const std::uint32_t again = idx.intern(2);
-  EXPECT_EQ(again, slot);
-  EXPECT_EQ(idx.resolve(h), ContainerIndex::kInvalid) << "stale generation";
-  EXPECT_EQ(idx.resolve(idx.handle(2)), slot) << "fresh handle resolves";
-
-  // A default handle and an out-of-range slot never resolve.
-  EXPECT_EQ(idx.resolve(ContainerIndex::Handle{}), ContainerIndex::kInvalid);
-  EXPECT_EQ(idx.resolve(ContainerIndex::Handle{99, 0}),
-            ContainerIndex::kInvalid);
+  // clear() forgets every id and the free list: interns count up from 0.
+  idx.clear();
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_FALSE(idx.contains(10));
+  EXPECT_EQ(idx.intern(30), 0u);
+  EXPECT_EQ(idx.intern(10), 1u);
 }
 
 // --- deterministic dense iteration ---------------------------------------
 
 // Everything an index reveals under an rng-scripted intern/release churn:
-// the slot each call returned, then the final (slot, id) for_each order and
-// every slot's generation.
+// the slot each call returned, then the final (slot, id) for_each order.
 struct ChurnTrace {
   std::vector<std::uint32_t> calls;
   std::vector<std::pair<std::uint32_t, cluster::ContainerId>> order;
-  std::vector<std::uint32_t> generations;
   bool operator==(const ChurnTrace&) const = default;
 };
 
@@ -126,9 +103,6 @@ ChurnTrace churn_trace(std::uint64_t seed) {
     trace.order.emplace_back(slot, id);
   });
   EXPECT_EQ(trace.order.size(), idx.size());
-  for (std::uint32_t slot = 0; slot < idx.capacity(); ++slot) {
-    trace.generations.push_back(idx.generation(slot));
-  }
   return trace;
 }
 
@@ -156,8 +130,8 @@ TEST(ContainerIndexTest, DenseIterationIsDeterministicAcrossIdenticalSeeds) {
 }
 
 // The Agent's sparse id map must be a drop-in for the controller's dense
-// one: the slot, free-list and generation logic is shared, so the same call
-// sequence yields the same slots, generations and iteration order.
+// one: the slot and free-list logic is shared, so the same call sequence
+// yields the same slots and iteration order.
 TEST(ContainerIndexTest, SparseAndDenseMapsAssignIdenticalSlots) {
   for (const std::uint64_t seed : {0xc0ffeeULL, 0xdecadeULL, 7ULL}) {
     const ChurnTrace dense = churn_trace<ContainerIndex>(seed);
@@ -165,7 +139,6 @@ TEST(ContainerIndexTest, SparseAndDenseMapsAssignIdenticalSlots) {
     ASSERT_FALSE(dense.calls.empty());
     EXPECT_EQ(dense.calls, sparse.calls) << "seed " << seed;
     EXPECT_EQ(dense.order, sparse.order) << "seed " << seed;
-    EXPECT_EQ(dense.generations, sparse.generations) << "seed " << seed;
   }
 
   // Ids far past anything a dense map could hold stay cheap and exact.
@@ -175,26 +148,29 @@ TEST(ContainerIndexTest, SparseAndDenseMapsAssignIdenticalSlots) {
   EXPECT_EQ(idx.intern(5), 1u);
   EXPECT_EQ(idx.find(kHuge), 0u);
   EXPECT_EQ(idx.find(kHuge - 1), core::SparseContainerIndex::kInvalid);
-  const core::SparseContainerIndex::Handle h = idx.handle(kHuge);
   EXPECT_EQ(idx.release(kHuge), 0u);
-  EXPECT_EQ(idx.resolve(h), core::SparseContainerIndex::kInvalid);
+  EXPECT_FALSE(idx.contains(kHuge));
   EXPECT_EQ(idx.intern(kHuge + 1), 0u) << "LIFO reuse of the freed slot";
-  EXPECT_EQ(idx.generation(0), 1u);
 }
 
-// --- slot layout across controller takeover -------------------------------
+// --- slot layout across a seat change -------------------------------------
 
-// A full HA rig: leader + warm standby, four managed containers, a mid-run
-// deregistration for churn, then a leader kill. The promoted standby replays
-// the replicated registrations; the slot layout it builds must be a pure
-// function of that replay — identical across identical runs — and the
-// post-takeover index must agree with the registry it serves.
-struct TakeoverRun {
+// A full HA rig: leader + warm standby, four managed containers, optionally
+// a mid-run deregistration for churn, then the seat changes hands at 1 s —
+// a leader kill the standby takes over, or a plain crash/restart inside the
+// lease (no failover; the restarted seat resyncs from the Agents). Either
+// way the new seat re-registers the survivors, and the Distributed
+// Container's slot layout must be exactly what a fresh registration in the
+// same order yields: no leftover free list, identical across runs.
+enum class SeatChange { kTakeover, kTakeoverAfterChurn, kRestart };
+
+struct SeatRun {
   std::vector<std::pair<cluster::ContainerId, std::uint32_t>> slots;
+  std::vector<cluster::ContainerId> reregistered;  // after the change
   std::uint64_t epoch = 0;
 };
 
-TakeoverRun run_takeover(bool with_churn) {
+SeatRun run_seat_change(SeatChange change) {
   sim::Simulation sim;
   net::Network net(sim);
   cluster::Cluster k8s(sim);
@@ -218,30 +194,53 @@ TakeoverRun run_takeover(bool with_churn) {
   ha::HaControlPlane ha(escra, net, cfg);
   ha.start();
 
-  if (with_churn) {
+  if (change == SeatChange::kTakeoverAfterChurn) {
     // Free a slot mid-run so the pre-kill layout has seen the free list.
     sim.schedule_at(milliseconds(500), [&] { escra.release(*containers[1]); });
   }
-  sim.schedule_at(seconds(1), [&] { ha.kill_leader(); });
+  if (change == SeatChange::kRestart) {
+    sim.schedule_at(seconds(1), [&] { escra.crash(); });
+    sim.schedule_at(seconds(1) + milliseconds(100), [&] { escra.restart(); });
+  } else {
+    sim.schedule_at(seconds(1), [&] { ha.kill_leader(); });
+  }
   sim.run_until(seconds(3));
 
-  EXPECT_FALSE(escra.crashed()) << "the standby must hold the seat";
-  EXPECT_EQ(ha.failovers(), 1u);
+  EXPECT_FALSE(escra.crashed());
+  EXPECT_EQ(ha.failovers(), change == SeatChange::kRestart ? 0u : 1u);
 
-  TakeoverRun out;
+  SeatRun out;
   out.epoch = escra.controller().epoch();
   for (const cluster::Container* c : containers) {
-    out.slots.emplace_back(c->id(),
-                           escra.controller().container_slot_for_test(c->id()));
+    out.slots.emplace_back(c->id(), escra.app().slot_of(c->id()));
+  }
+  const obs::TraceBuffer& trace = observer.trace();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const obs::TraceEvent& ev = trace.at(i);
+    if (ev.kind == obs::EventKind::kContainerRegistered &&
+        ev.time >= seconds(1)) {
+      out.reregistered.push_back(ev.container);
+    }
   }
   return out;
+}
+
+// The layout a fresh index gives the re-registration order.
+void expect_fresh_layout(const SeatRun& run) {
+  ContainerIndex fresh;
+  for (const cluster::ContainerId id : run.reregistered) fresh.intern(id);
+  for (const auto& [id, slot] : run.slots) {
+    EXPECT_EQ(slot, fresh.find(id)) << "container " << id;
+  }
 }
 
 TEST(ContainerIndexTest, TakeoverReplayRebuildsTheSlotLayoutDeterministically) {
   // Without churn the replicated registration order equals the bootstrap
   // order, so replay reproduces the dead leader's layout exactly: dense
   // ascending slots for the four containers, none invalid.
-  const TakeoverRun plain = run_takeover(/*with_churn=*/false);
+  const SeatRun plain = run_seat_change(SeatChange::kTakeover);
+  EXPECT_EQ(plain.reregistered.size(), 4u);
+  expect_fresh_layout(plain);
   for (std::size_t i = 0; i < plain.slots.size(); ++i) {
     EXPECT_EQ(plain.slots[i].second, static_cast<std::uint32_t>(i))
         << "container " << plain.slots[i].first;
@@ -250,17 +249,25 @@ TEST(ContainerIndexTest, TakeoverReplayRebuildsTheSlotLayoutDeterministically) {
   // With churn, the layouts of two identical runs must still agree slot for
   // slot (pure function of the replayed log), the released container must
   // stay un-interned, and the survivors must be dense in [0, live).
-  const TakeoverRun a = run_takeover(/*with_churn=*/true);
-  const TakeoverRun b = run_takeover(/*with_churn=*/true);
+  const SeatRun a = run_seat_change(SeatChange::kTakeoverAfterChurn);
+  const SeatRun b = run_seat_change(SeatChange::kTakeoverAfterChurn);
   EXPECT_EQ(a.slots, b.slots);
   EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.slots[1].second, core::ContainerIndex::kInvalid)
+  expect_fresh_layout(a);
+  EXPECT_EQ(a.slots[1].second, core::kNoSlot)
       << "released container must not be resurrected by the replay";
   for (std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
     EXPECT_LT(a.slots[i].second, 3u) << "survivors pack densely";
   }
+
+  // A plain restart resyncs every survivor from the Agents: the crash freed
+  // all four slots at once, and the restarted seat must not hand them back
+  // off a free list — its layout is a fresh registration's, in resync order.
+  const SeatRun restart = run_seat_change(SeatChange::kRestart);
+  EXPECT_EQ(restart.reregistered.size(), 4u);
+  expect_fresh_layout(restart);
+  EXPECT_EQ(restart.slots, run_seat_change(SeatChange::kRestart).slots);
 }
 
 }  // namespace
 }  // namespace escra
-
