@@ -1,9 +1,9 @@
 // The replicated controller state (controller HA, src/ha).
 //
-// Every durable state change the leader makes — container registration /
-// deregistration (pool commitments), desired-state slot opens and acks,
-// shadow-limit moves, node-liveness transitions, credit balances and RT
-// reservations — is mirrored to an optional replication hook as one flat
+// Every durable state change the leader makes — the start of each epoch it
+// leads, container registration / deregistration (pool commitments),
+// desired-state slot opens and acks, shadow-limit moves, node-liveness
+// transitions, credit balances and RT reservations — is mirrored to an optional replication hook as one flat
 // ReplicationEvent. ReplicaState is the pure left fold of that stream: the
 // exact image a new leader needs to take the seat without resyncing the
 // Agents. The same type is everything on both ends of a handoff:
@@ -25,6 +25,7 @@ namespace escra::core {
 
 struct ReplicationEvent {
   enum class Kind {
+    kEpoch,       // the seat (re)started under epoch `seq`: state resets
     kRegister,    // container joined: committed cores/mem/bw
     kDeregister,  // container left (deregistered or quarantine-reclaimed)
     kSlot,        // desired-state slot opened/superseded (seq, limit)
@@ -37,7 +38,8 @@ struct ReplicationEvent {
   Kind kind = Kind::kRegister;
   cluster::ContainerId container = 0;
   cluster::NodeId node = 0;
-  std::uint64_t seq = 0;  // slot sequence number (kSlot/kAckSlot)
+  // Slot sequence number (kSlot/kAckSlot); the new epoch (kEpoch).
+  std::uint64_t seq = 0;
   // The slot's limit (kSlot); kAckSlot carries only its resource.
   Limit limit{};
   double cores = 0.0;                   // kRegister
@@ -100,6 +102,12 @@ struct ReplicaState {
   void apply(const ReplicationEvent& e) {
     using Kind = ReplicationEvent::Kind;
     switch (e.kind) {
+      case Kind::kEpoch:
+        // A restarted or newly elected seat rebuilds everything under the
+        // new epoch, re-emitting each record it keeps right after this one.
+        *this = ReplicaState{};
+        epoch = e.seq;
+        break;
       case Kind::kRegister:
         containers[e.container] =
             ContainerState{e.cores, e.mem, e.node, e.bw_bps};

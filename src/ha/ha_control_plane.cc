@@ -47,7 +47,9 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
   // Log origin: the current epoch's start. Standbys never replay across
   // this (they bootstrap from a book snapshot), but every later record
   // folds deterministically on top of it.
-  log_.append({.epoch_start = true, .epoch = epoch_});
+  log_.append({.epoch = epoch_,
+               .event = {.kind = core::ReplicationEvent::Kind::kEpoch,
+                         .seq = epoch_}});
 
   controller.set_replication_hook(
       [this](const core::ReplicationEvent& ev) {
@@ -119,7 +121,7 @@ void HaControlPlane::on_repl_event(const core::ReplicationEvent& ev) {
 
 void HaControlPlane::append_and_stream(WalRecord record) {
   record.index = log_.append(record);
-  fold(book_, record);
+  book_.apply(record.event);
   ++wal_appends_;
   obs::Observer* obs = observer();
   if (obs != nullptr) obs->h.ha_wal_appends->inc();
@@ -152,7 +154,7 @@ void HaControlPlane::deliver_record(Standby& standby, const WalRecord& record) {
     return;
   }
   if (record.index == standby.next_index) {
-    fold(standby.replica, record);
+    standby.replica.apply(record.event);
     ++standby.next_index;
     // Drain any contiguous out-of-order arrivals behind it.
     drain_stash(standby);
@@ -168,7 +170,7 @@ void HaControlPlane::drain_stash(Standby& standby) {
   auto it = standby.stash.begin();
   while (it != standby.stash.end() && it->first <= standby.next_index) {
     if (it->first == standby.next_index) {
-      fold(standby.replica, it->second);
+      standby.replica.apply(it->second.event);
       ++standby.next_index;
     }
     it = standby.stash.erase(it);
@@ -194,8 +196,8 @@ void HaControlPlane::leader_tick() {
   core::Controller& controller = escra_.controller();
   if (controller.crashed()) return;  // dead leaders announce nothing
   if (controller.epoch() != epoch_) {
-    // 48-bit sequence wrap bumped the epoch in place (same leader, no
-    // handoff): track it so lease announcements carry the truth.
+    // A restart or the 48-bit sequence wrap moved the epoch under the same
+    // seat (no handoff): track it so lease announcements carry the truth.
     epoch_ = controller.epoch();
     obs::Observer* obs = observer();
     if (obs != nullptr) obs->h.ha_epoch->set(static_cast<double>(epoch_));
@@ -373,12 +375,11 @@ void HaControlPlane::promote(Standby& standby) {
     sp->last_seen_epoch = std::max(sp->last_seen_epoch, new_epoch);
   }
 
-  // Fresh book for the new epoch: the epoch-start record resets it, and the
-  // takeover replay below re-fires the replication hook for every container,
-  // slot, node, credit account and RT reservation, repopulating the book and
-  // streaming the rebuilt state to the surviving standbys (which reset on
-  // the same record).
-  append_and_stream({.epoch_start = true, .epoch = new_epoch});
+  // Fresh book for the new epoch: takeover opens it with a kEpoch record
+  // that resets the book, then re-fires the replication hook for every
+  // container, slot, node, credit account and RT reservation, repopulating
+  // the book and streaming the rebuilt state to the surviving standbys
+  // (which reset on the same record).
   controller.takeover(new_epoch, s.replica, escra_.cluster(), cause);
   epoch_ = controller.epoch();
   if (obs != nullptr) obs->h.ha_epoch->set(static_cast<double>(epoch_));

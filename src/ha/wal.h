@@ -4,11 +4,12 @@
 // container registration/deregistration (pool commitments), desired-state
 // slot opens and acks, shadow-limit moves, node-liveness transitions — into
 // a sequence-numbered record carrying the Controller's own ReplicationEvent.
-// The log index is globally monotonic across epochs; an epoch-start record
-// marks each leadership handoff and resets the replica state it governs, so
-// replay is a pure left fold: applying records [0..n) in index order always
-// produces the same replica, regardless of which leader wrote which prefix
-// (deterministic WAL replay). The fold itself is core::ReplicaState.
+// The log index is globally monotonic across epochs; the Controller's
+// kEpoch record marks each restart and leadership handoff and resets the
+// replica state it governs, so replay is a pure left fold: applying records
+// [0..n) in index order always produces the same replica, regardless of
+// which leader wrote which prefix (deterministic WAL replay). The fold
+// itself is core::ReplicaState::apply.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +19,11 @@
 
 namespace escra::ha {
 
-// One log entry: a replicated Controller state change, or — local to the
-// log — the marker that opens a leadership epoch.
+// One log entry: a replicated Controller state change.
 struct WalRecord {
-  // New leadership epoch: the replica state resets, then rebuilds from the
-  // records the new leader replays right after this one.
-  bool epoch_start = false;
   std::uint64_t epoch = 0;  // leader epoch that wrote the record
   std::uint64_t index = 0;  // position in the log (assigned by append)
-  core::ReplicationEvent event{};  // unused when epoch_start
+  core::ReplicationEvent event{};
 };
 
 // The leader's in-memory log. Indices never reset (standby cursors stay
@@ -61,17 +58,5 @@ class WalLog {
   std::deque<WalRecord> records_;
   std::uint64_t next_index_ = 0;
 };
-
-// Folds one record into a replica: an epoch start resets it (the new
-// leader re-registers everything through its replication hook right after),
-// any other record applies its Controller event.
-inline void fold(core::ReplicaState& replica, const WalRecord& r) {
-  if (r.epoch_start) {
-    replica = {};
-    replica.epoch = r.epoch;
-  } else {
-    replica.apply(r.event);
-  }
-}
 
 }  // namespace escra::ha
