@@ -266,10 +266,10 @@ ResourceAllocator::MemDecision ResourceAllocator::on_oom_event(
   return decision;
 }
 
-void ResourceAllocator::on_reclaimed(std::uint32_t container,
-                                     memcg::Bytes new_limit) {
-  if (!app_.is_member(container)) return;
-  app_.set_member_mem(container, new_limit);
+memcg::Bytes ResourceAllocator::on_reclaimed(std::uint32_t container,
+                                             memcg::Bytes new_limit) {
+  if (!app_.is_member(container)) return new_limit;
+  return app_.set_member_mem(container, new_limit);
 }
 
 }  // namespace escra::core

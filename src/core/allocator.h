@@ -74,8 +74,10 @@ class ResourceAllocator {
   std::optional<double> on_bw_stats(const bw::BwSample& sample);
 
   // Syncs shadow state after an Agent reclamation pass; ψ flows back into
-  // the pool implicitly (allocated sum drops).
-  void on_reclaimed(std::uint32_t container, memcg::Bytes new_limit);
+  // the pool implicitly (allocated sum drops). Returns the shadow limit now
+  // held, which the pool's headroom may clamp below `new_limit` (a
+  // non-member returns `new_limit` unchanged).
+  memcg::Bytes on_reclaimed(std::uint32_t container, memcg::Bytes new_limit);
 
   // --- real-time floors (mixed-criticality class) ---
   // An admitted RT container's reservation floor: no allocator decision —

@@ -434,6 +434,19 @@ TEST(AllocatorMemTest, ReclaimSyncShrinksShadowAndRefillsPool) {
   EXPECT_NO_THROW(rig.alloc.on_reclaimed(1, kMiB));
 }
 
+TEST(AllocatorMemTest, ReclaimSyncReturnsTheShadowItHolds) {
+  Rig rig;
+  rig.alloc.register_container(1, 1.0, 2 * kGiB);
+  rig.alloc.register_container(2, 1.0, 2 * kGiB);
+  EXPECT_EQ(rig.alloc.on_reclaimed(1, 512 * kMiB), 512 * kMiB);
+  // A report above the pool's headroom is clamped, and the clamped value is
+  // the one the controller replicates, not the report.
+  EXPECT_EQ(rig.alloc.on_reclaimed(1, 3 * kGiB), 2 * kGiB);
+  EXPECT_EQ(rig.app.member_mem(1), 2 * kGiB);
+  rig.alloc.deregister_container(2);
+  EXPECT_EQ(rig.alloc.on_reclaimed(2, kMiB), kMiB) << "non-member: as sent";
+}
+
 TEST(AllocatorMemTest, ReclaimThenGrantEndToEnd) {
   Rig rig;
   rig.alloc.register_container(1, 1.0, 3 * kGiB);
