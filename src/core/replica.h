@@ -3,13 +3,15 @@
 // Every durable state change the leader makes — the start of each epoch it
 // leads, container registration / deregistration (pool commitments),
 // desired-state slot opens and acks, shadow-limit moves, node-liveness
-// transitions, credit balances and RT reservations — is mirrored to an optional replication hook as one flat
-// ReplicationEvent. ReplicaState is the pure left fold of that stream: the
-// exact image a new leader needs to take the seat without resyncing the
-// Agents. The same type is everything on both ends of a handoff:
-// Controller::image() produces it from the live seat, src/ha folds it from
-// the stream on the leader ("book") and on every standby, and
-// Controller::takeover() installs it. core stays ignorant of the transport.
+// transitions, credit balances and RT reservations — is mirrored to an
+// optional replication hook as one flat ReplicationEvent. ReplicaState is
+// the pure left fold of that stream: the exact image a new leader needs to
+// take the seat without resyncing the Agents. The same type is everything
+// on both ends of a handoff: Controller::image() produces it from the live
+// seat (the leader's only copy), src/ha folds it from the stream on every
+// standby, and Controller::takeover() installs it. The epoch is not part
+// of it: it belongs to the seat (Controller::epoch()) and to each log
+// record. core stays ignorant of the transport.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@ namespace escra::core {
 
 struct ReplicationEvent {
   enum class Kind {
-    kEpoch,       // the seat (re)started under epoch `seq`: state resets
+    kEpoch,       // the seat (re)started under a new epoch: state resets
     kRegister,    // container joined: committed cores/mem/bw
     kDeregister,  // container left (deregistered or quarantine-reclaimed)
     kSlot,        // desired-state slot opened/superseded (seq, limit)
@@ -38,7 +40,7 @@ struct ReplicationEvent {
   Kind kind = Kind::kRegister;
   cluster::ContainerId container = 0;
   cluster::NodeId node = 0;
-  // Slot sequence number (kSlot/kAckSlot); the new epoch (kEpoch).
+  // Slot sequence number (kSlot/kAckSlot).
   std::uint64_t seq = 0;
   // The slot's limit (kSlot); kAckSlot carries only its resource.
   Limit limit{};
@@ -97,7 +99,6 @@ struct ReplicaState {
   // Admitted RT reservations (absolute images; erased by an explicit
   // rt_removed record or by the container's kDeregister).
   std::map<cluster::ContainerId, RtState> rt;
-  std::uint64_t epoch = 0;
 
   void apply(const ReplicationEvent& e) {
     using Kind = ReplicationEvent::Kind;
@@ -106,7 +107,6 @@ struct ReplicaState {
         // A restarted or newly elected seat rebuilds everything under the
         // new epoch, re-emitting each record it keeps right after this one.
         *this = ReplicaState{};
-        epoch = e.seq;
         break;
       case Kind::kRegister:
         containers[e.container] =

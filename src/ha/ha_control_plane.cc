@@ -40,16 +40,15 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
       net_(net),
       config_(config) {
   core::Controller& controller = escra_.controller();
-  // Seed the leader book from the live system (attaching mid-run is legal).
-  book_ = controller.image();
-  epoch_ = book_.epoch;
+  // Attaching mid-run is legal: the live seat's epoch and image() are the
+  // starting point.
+  epoch_ = controller.epoch();
 
   // Log origin: the current epoch's start. Standbys never replay across
-  // this (they bootstrap from a book snapshot), but every later record
+  // this (they bootstrap from an image() snapshot), but every later record
   // folds deterministically on top of it.
   log_.append({.epoch = epoch_,
-               .event = {.kind = core::ReplicationEvent::Kind::kEpoch,
-                         .seq = epoch_}});
+               .event = {.kind = core::ReplicationEvent::Kind::kEpoch}});
 
   controller.set_replication_hook(
       [this](const core::ReplicationEvent& ev) {
@@ -121,11 +120,17 @@ void HaControlPlane::on_repl_event(const core::ReplicationEvent& ev) {
 
 void HaControlPlane::append_and_stream(WalRecord record) {
   record.index = log_.append(record);
-  book_.apply(record.event);
   ++wal_appends_;
   obs::Observer* obs = observer();
   if (obs != nullptr) obs->h.ha_wal_appends->inc();
   for (const auto& standby : standbys_) stream_record(*standby, record);
+}
+
+HaControlPlane::Standby* HaControlPlane::standby_at(int endpoint_index) {
+  for (const auto& s : standbys_) {
+    if (s->endpoint_index == endpoint_index) return s.get();
+  }
+  return nullptr;
 }
 
 void HaControlPlane::stream_record(Standby& standby, const WalRecord& record) {
@@ -133,13 +138,7 @@ void HaControlPlane::stream_record(Standby& standby, const WalRecord& record) {
   net_.send_to(net::Channel::kHaReplication, net::kControllerEndpoint,
                net::standby_endpoint(epi), core::kWalRecordWireBytes,
                [this, epi, record] {
-                 for (const auto& s : standbys_) {
-                   if (s->endpoint_index == epi) {
-                     deliver_record(*s, record);
-                     return;
-                   }
-                 }
-                 // Standby promoted/retired while the record was in flight.
+                 if (Standby* s = standby_at(epi)) deliver_record(*s, record);
                });
 }
 
@@ -183,11 +182,8 @@ void HaControlPlane::send_ack(Standby& standby) {
   net_.send_to(net::Channel::kHaReplication, net::standby_endpoint(epi),
                net::kControllerEndpoint, core::kWalAckWireBytes,
                [this, epi, acked] {
-                 for (const auto& s : standbys_) {
-                   if (s->endpoint_index == epi) {
-                     s->acked = std::max(s->acked, acked);
-                     return;
-                   }
+                 if (Standby* s = standby_at(epi)) {
+                   s->acked = std::max(s->acked, acked);
                  }
                });
 }
@@ -233,13 +229,9 @@ void HaControlPlane::leader_tick() {
     net_.send_to(net::Channel::kHaReplication, net::kControllerEndpoint,
                  net::standby_endpoint(epi), core::kLeaseAnnounceWireBytes,
                  [this, epi, epoch] {
-                   for (const auto& st : standbys_) {
-                     if (st->endpoint_index == epi) {
-                       st->last_leader_contact = sim_.now();
-                       st->last_seen_epoch =
-                           std::max(st->last_seen_epoch, epoch);
-                       return;
-                     }
+                   if (Standby* st = standby_at(epi)) {
+                     st->last_leader_contact = sim_.now();
+                     st->last_seen_epoch = std::max(st->last_seen_epoch, epoch);
                    }
                  });
   }
@@ -266,27 +258,26 @@ void HaControlPlane::send_snapshot(Standby& standby) {
   const int epi = standby.endpoint_index;
   const std::uint64_t snap_index = log_.next_index();
   const std::uint64_t epoch = epoch_;
-  // State transfer sized by the book: one record-equivalent per entry.
+  // The live seat's image() is the fold of the log so far. State transfer
+  // sized by it: one record-equivalent per entry.
+  core::ReplicaState snap = escra_.controller().image();
   const std::size_t bytes =
       core::kWalRecordWireBytes *
-      (1 + book_.containers.size() + book_.slots.size() + book_.nodes.size());
+      (1 + snap.containers.size() + snap.slots.size() + snap.nodes.size());
   net_.send_to(
       net::Channel::kHaReplication, net::kControllerEndpoint,
       net::standby_endpoint(epi), bytes,
-      [this, epi, snap = book_, snap_index, epoch] {
-        for (const auto& sp : standbys_) {
-          if (sp->endpoint_index != epi) continue;
-          Standby& s = *sp;
-          s.replica = snap;
-          s.next_index = snap_index;
-          s.synced = true;
-          s.last_leader_contact = sim_.now();
-          s.last_seen_epoch = std::max(s.last_seen_epoch, epoch);
-          // Drain stashed records the snapshot doesn't already cover.
-          drain_stash(s);
-          send_ack(s);
-          return;
-        }
+      [this, epi, snap = std::move(snap), snap_index, epoch] {
+        Standby* s = standby_at(epi);
+        if (s == nullptr) return;
+        s->replica = snap;
+        s->next_index = snap_index;
+        s->synced = true;
+        s->last_leader_contact = sim_.now();
+        s->last_seen_epoch = std::max(s->last_seen_epoch, epoch);
+        // Drain stashed records the snapshot doesn't already cover.
+        drain_stash(*s);
+        send_ack(*s);
       });
 }
 
@@ -323,7 +314,7 @@ void HaControlPlane::promote(Standby& standby) {
   }
   Standby& s = *winner;
 
-  const std::uint64_t old_epoch = std::max(s.last_seen_epoch, s.replica.epoch);
+  const std::uint64_t old_epoch = s.last_seen_epoch;
   std::uint64_t new_epoch = old_epoch + 1 + static_cast<std::uint64_t>(rank);
 
   // Split brain: the seat is still live — the lease went silent because of
@@ -375,11 +366,10 @@ void HaControlPlane::promote(Standby& standby) {
     sp->last_seen_epoch = std::max(sp->last_seen_epoch, new_epoch);
   }
 
-  // Fresh book for the new epoch: takeover opens it with a kEpoch record
-  // that resets the book, then re-fires the replication hook for every
-  // container, slot, node, credit account and RT reservation, repopulating
-  // the book and streaming the rebuilt state to the surviving standbys
-  // (which reset on the same record).
+  // Fresh state for the new epoch: takeover opens it with a kEpoch record
+  // that resets every surviving standby's replica, then re-fires the
+  // replication hook for every container, slot, node, credit account and
+  // RT reservation, streaming the rebuilt state to them.
   controller.takeover(new_epoch, s.replica, escra_.cluster(), cause);
   epoch_ = controller.epoch();
   if (obs != nullptr) obs->h.ha_epoch->set(static_cast<double>(epoch_));
@@ -402,17 +392,7 @@ void HaControlPlane::promote(Standby& standby) {
 void HaControlPlane::spawn_ghost() {
   auto ghost = std::make_unique<Ghost>();
   ghost->abdicate_at = sim_.now() + kGhostAbdicate;
-  ghost->slots.reserve(book_.slots.size());
-  for (const auto& [key, sl] : book_.slots) {
-    GhostSlot g;
-    g.id = core::slot_key_container(key);
-    g.limit = sl.limit;
-    g.seq = sl.seq;
-    const auto it = book_.containers.find(g.id);
-    if (it == book_.containers.end()) continue;
-    g.node = it->second.node;
-    ghost->slots.push_back(g);
-  }
+  ghost->replica = escra_.controller().image();
   Ghost* g = ghost.get();
   ghost->timer =
       sim_.schedule_every(sim_.now() + kLeaseInterval, kLeaseInterval,
@@ -434,18 +414,22 @@ void HaControlPlane::ghost_tick(Ghost& ghost) {
     return;
   }
   core::Controller& controller = escra_.controller();
-  for (const GhostSlot& slot : ghost.slots) {
-    core::Agent* agent = controller.agent_at(slot.node);
+  for (const auto& [key, slot] : ghost.replica.slots) {
+    const cluster::ContainerId id = core::slot_key_container(key);
+    const auto home = ghost.replica.containers.find(id);
+    if (home == ghost.replica.containers.end()) continue;
+    const cluster::NodeId node = home->second.node;
+    core::Agent* agent = controller.agent_at(node);
     if (agent == nullptr || agent->crashed()) continue;
     net_.rpc_to(
-        net::kControllerEndpoint, node_ep(slot.node),
-        core::kLimitUpdateRpcBytes, core::kLimitUpdateRespBytes,
-        [agent, slot]() -> bool {
+        net::kControllerEndpoint, node_ep(node), core::kLimitUpdateRpcBytes,
+        core::kLimitUpdateRespBytes,
+        [agent, id, limit = slot.limit, seq = slot.seq]() -> bool {
           // The ghost re-sends with its *original* old-epoch sequences:
           // before the fence lands these are stale duplicates at worst
           // (idempotent); after it they bounce off Apply::kFenced.
           const core::Agent::Apply result =
-              agent->apply_limit(slot.id, slot.limit, slot.seq);
+              agent->apply_limit(id, limit, seq);
           return result == core::Agent::Apply::kApplied ||
                  result == core::Agent::Apply::kStale;
         },

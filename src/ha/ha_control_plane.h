@@ -6,7 +6,10 @@
 // delivered records into a core::ReplicaState — the exact image a new
 // leader needs: registered containers with their current shadow limits,
 // every still-open desired-state slot, the node liveness/incarnation map,
-// the credit balances and the admitted RT reservations.
+// the credit balances and the admitted RT reservations. The leader keeps
+// no fold of its own: whenever it needs the state (a standby's bootstrap
+// snapshot, a deposed seat's ghost) it reads the live seat's
+// Controller::image(), which equals the fold of every record it emitted.
 //
 // When the lease goes silent for kLeaseTimeout (+ 100 ms per rank, so
 // elections are staggered and at most one standby moves at a time), the
@@ -65,9 +68,9 @@ struct HaConfig {
 class HaControlPlane {
  public:
   // Attaches to a (possibly already running) system: hooks the Controller's
-  // replication stream, seeds the leader book from its live image(), and
-  // creates `config.standbys` warm standbys. `net` must be the same network
-  // the system's control plane runs on.
+  // replication stream and creates `config.standbys` warm standbys, each
+  // bootstrapped from the live seat's image(). `net` must be the same
+  // network the system's control plane runs on.
   HaControlPlane(core::EscraSystem& escra, net::Network& net,
                  HaConfig config = {});
   ~HaControlPlane();
@@ -89,7 +92,6 @@ class HaControlPlane {
   std::uint64_t wal_appends() const { return wal_appends_; }
   std::uint64_t wal_trimmed() const { return log_.base(); }
   int standby_count() const { return static_cast<int>(standbys_.size()); }
-  const core::ReplicaState& book() const { return book_; }
   // Rank r standby's replica / contiguously-applied cursor.
   const core::ReplicaState& standby_replica(int rank) const;
   std::uint64_t standby_next_index(int rank) const;
@@ -108,22 +110,20 @@ class HaControlPlane {
     sim::EventHandle watchdog;
   };
 
-  // A deposed leader's dying gasps: the old-epoch in-flight slots it keeps
-  // retransmitting until it abdicates — each as a single-update RPC with
-  // its original sequence. Fenced at every live Agent.
-  struct GhostSlot {
-    cluster::ContainerId id = 0;
-    cluster::NodeId node = 0;
-    core::Limit limit;
-    std::uint64_t seq = 0;
-  };
+  // A deposed leader's dying gasps: the old-epoch in-flight slots of its
+  // last image it keeps retransmitting until it abdicates — each as a
+  // single-update RPC with its original sequence. Fenced at every live
+  // Agent.
   struct Ghost {
-    std::vector<GhostSlot> slots;
+    core::ReplicaState replica;
     sim::TimePoint abdicate_at = 0;
     sim::EventHandle timer;
   };
 
   void on_repl_event(const core::ReplicationEvent& ev);
+  // The standby answering at `endpoint_index`, or null once it has been
+  // promoted or retired (a message still in flight to it is dropped).
+  Standby* standby_at(int endpoint_index);
   void append_and_stream(WalRecord record);
   void stream_record(Standby& standby, const WalRecord& record);
   void deliver_record(Standby& standby, const WalRecord& record);
@@ -147,7 +147,6 @@ class HaControlPlane {
   HaConfig config_;
 
   WalLog log_;
-  core::ReplicaState book_;  // leader-side fold of the same log
   std::vector<std::unique_ptr<Standby>> standbys_;  // index 0 = rank 0
   std::vector<std::unique_ptr<Ghost>> ghosts_;
   sim::EventHandle lease_loop_;

@@ -9,7 +9,9 @@
 // replica state it governs, so replay is a pure left fold: applying records
 // [0..n) in index order always produces the same replica, regardless of
 // which leader wrote which prefix (deterministic WAL replay). The fold
-// itself is core::ReplicaState::apply.
+// itself is core::ReplicaState::apply. The epoch number rides on each
+// record (WalRecord::epoch), not in the replica: a standby learns the
+// highest epoch it has seen from the records and lease announcements.
 #pragma once
 
 #include <cstdint>
