@@ -306,6 +306,70 @@ TEST(RtFloorTest, AdmissionShedsBestEffortToFundTheFloor)  {
   EXPECT_TRUE(checker.ok()) << checker.report();
 }
 
+TEST(RtFloorTest, DeadNodeSurplusNeverFundsAnAdmission) {
+  // A dry pool whose only surplus sits on a dead, quarantined node: the
+  // shed path may not touch a frozen share, so admitting a floor the live
+  // members cannot fund would leave the book below it. Admission must
+  // refuse up front, leaving no trace of the reservation and no shrinks.
+  sim::Simulation sim;
+  net::Network net{sim};
+  cluster::Cluster k8s{sim};
+  obs::Observer observer;
+  core::EscraSystem escra(sim, net, k8s, 4.0, 4 * kGiB);
+  cluster::Node& live = k8s.add_node({.cores = 20.0});
+  cluster::Node& doomed = k8s.add_node({.cores = 20.0});
+  cluster::ContainerSpec spec;
+  spec.base_memory = 64 * kMiB;
+  spec.max_parallelism = 8.0;
+  std::vector<cluster::Container*> containers;
+  for (int i = 0; i < 4; ++i) {
+    spec.name = "c" + std::to_string(i);
+    containers.push_back(&k8s.create_container(spec, 1.0, 256 * kMiB,
+                                               i == 0 ? &live : &doomed));
+  }
+  escra.attach_observer(observer);
+  escra.manage(containers);
+  escra.start();
+  check::InvariantChecker checker(escra, net, observer);
+  // Containers 1..3 run hot and absorb the pool; container 0 idles on the
+  // live node and bleeds toward min_cores.
+  for (int i = 1; i < 4; ++i) {
+    cluster::Container* c = containers[i];
+    sim.schedule_every(milliseconds(1), milliseconds(10), [c] {
+      c->submit(milliseconds(40), 0, nullptr);
+    });
+  }
+  sim.run_until(seconds(5));
+  net.partition(doomed.id(), net::kControllerEndpoint);
+  sim.run_until(seconds(6));  // dead, inside the 2 s quarantine grace
+
+  Controller& ctl = escra.controller();
+  ASSERT_TRUE(ctl.node_dead(doomed.id()));
+  cluster::Container* rt = containers[0];
+  const double floor = 1.0;
+  ASSERT_LT(escra.app().member_cores(rt->id()) +
+                escra.app().cpu_unallocated(),
+            floor)
+      << "the live member + free pool must not cover the floor";
+  const std::uint64_t shrinks_before = observer.h.cpu_shrinks->value();
+  EXPECT_EQ(escra.admit_rt(*rt, spec_ms(50, 50, 100)),
+            Controller::RtAdmit::kRejectedPool);
+  EXPECT_FALSE(escra.rt_admitted(rt->id()));
+  EXPECT_EQ(observer.h.rt_admitted->value(), 0u);
+  EXPECT_EQ(observer.h.cpu_shrinks->value(), shrinks_before);
+  sim.run_until(seconds(7));
+  EXPECT_TRUE(checker.ok()) << checker.report();
+
+  // Once quarantine reclaims the dead node's share, the same floor is
+  // fundable and holds from the instant of admission.
+  sim.run_until(seconds(9));
+  ASSERT_EQ(escra.admit_rt(*rt, spec_ms(50, 50, 100)),
+            Controller::RtAdmit::kAdmitted);
+  EXPECT_GE(escra.app().member_cores(rt->id()), floor - 1e-6);
+  sim.run_until(seconds(10));
+  EXPECT_TRUE(checker.ok()) << checker.report();
+}
+
 TEST(RtFloorTest, KappaAndGreedyDecayNeverReclaimBelowTheFloor) {
   core::EscraConfig cfg;
   cfg.credit_defense = true;  // arm the Karma throttle path too
